@@ -353,19 +353,17 @@ FLEET_SHARDED_CONFIG = FleetConfig(
 def fleet_sharded_micro() -> dict:
     """One sharded fleet run; ops = device-steps advanced.
 
-    Times :func:`repro.sim.shard.simulate_fleet_sharded` end to end —
-    worker fan-out, per-shard RNG replay, device slicing, and the
-    canonical shard-major merge. Worker count defaults to all cores but
-    one (capped at the shard count), so the gate floor must hold at
-    ``jobs=1``: on a single-core runner the bench measures the sharding
-    *overhead* over the serial path, on real hardware the speedup. When
-    at least two workers run, a serial reference run is timed too and
-    the measured speedup lands in ``meta``.
+    Times :func:`repro.sim.fleet.simulate_fleet` on the sharded config
+    end to end — worker fan-out, per-shard RNG replay, device slicing,
+    and the canonical shard-major merge. Worker count defaults to all
+    cores but one (capped at the shard count), so the gate floor must
+    hold at ``jobs=1``: on a single-core runner the bench measures the
+    sharding *overhead* over the serial path, on real hardware the
+    speedup. When at least two workers run, a ``shards=1`` reference
+    run is timed too and the measured speedup lands in ``meta``.
     """
     import os
     from dataclasses import replace as dc_replace
-
-    from repro.sim.shard import simulate_fleet_sharded
 
     devices = int(os.environ.get("REPRO_PERF_FLEET_DEVICES", "0")) \
         or FLEET_SHARDED_CONFIG.devices
@@ -374,14 +372,14 @@ def fleet_sharded_micro() -> dict:
         or max(1, min(config.shards, (os.cpu_count() or 1) - 1))
     steps = config.horizon_days // config.step_days
     start = time.perf_counter()
-    result = simulate_fleet_sharded(config, "regen", seed=2025, jobs=jobs)
+    result = simulate_fleet(config, "regen", seed=2025, jobs=jobs)
     wall_s = time.perf_counter() - start
     meta = {"mode": "regen", "devices": devices,
             "shards": config.shards, "jobs": jobs,
             "mean_lifetime_days": round(result.mean_lifetime_days(), 1)}
     if jobs >= 2:
         serial_start = time.perf_counter()
-        simulate_fleet(config, "regen", seed=2025)
+        simulate_fleet(dc_replace(config, shards=1), "regen", seed=2025)
         serial_wall = time.perf_counter() - serial_start
         meta["serial_wall_s"] = round(serial_wall, 4)
         meta["speedup"] = round(serial_wall / wall_s, 2)

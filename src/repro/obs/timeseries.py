@@ -228,28 +228,15 @@ class TimeseriesSampler:
 
     # -- sampling ----------------------------------------------------------
 
-    def due(self, t: float) -> bool:
-        """Would :meth:`maybe_sample` take a sample at ``t``?
-
-        Pure cadence-gate check with no side effects. Hot loops that
-        must do extra work to *produce* sample values (e.g. the fleet
-        census) ask this first and skip the production cost entirely on
-        non-sample steps.
-        """
-        last = self._last_sample_t
-        if last is None or t < last - _EPS:
-            return True
-        return t - last >= self.cadence - _EPS
-
     def schedule(self, times: Iterable[float]) -> list[bool]:
         """Which of ``times`` would :meth:`maybe_sample` accept, in order?
 
         A pure fold of the cadence gate from the sampler's *current*
-        state — no side effects, no samples taken. The sharded fleet
-        runner (:mod:`repro.sim.shard`) computes this once in the
-        coordinator and ships it to shard workers, so every worker
-        produces census material for exactly the steps the serial loop
-        would have sampled.
+        state — no side effects, no samples taken.
+        :func:`repro.sim.fleet.simulate_fleet` computes this once before
+        stepping any device range, so every range (in-process or in a
+        shard worker) produces census material for exactly the steps
+        the merge will sample.
         """
         last = self._last_sample_t
         accepted: list[bool] = []

@@ -28,6 +28,8 @@ devices wear *faster* per host byte, a feedback the curves include.
 from __future__ import annotations
 
 import time as _time
+import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,12 +38,12 @@ from repro import faults as faults_mod
 from repro import obs
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultPlan
-from repro.obs.instruments import fleet_instruments
+from repro.obs.instruments import fleet_instruments, shard_instruments
 from repro.obs.smart import smart_field
 from repro.flash.geometry import FlashGeometry
 from repro.flash.rber import RBERModel, lognormal_page_variation
 from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
-from repro.rng import fork_rng, make_rng
+from repro.rng import DEFAULT_SEED, fork_rng, make_rng
 
 MODES = ("baseline", "cvss", "shrink", "regen")
 
@@ -72,13 +74,11 @@ class FleetConfig:
             death bound (it cannot shrink below its live data).
         min_capacity_fraction: Salamander replacement floor.
         regen_max_level: RegenS page-reuse ceiling (paper recommends 1).
-        shards: failure-domain shards the sharded runner
-            (:func:`repro.sim.shard.simulate_fleet_sharded`) partitions
-            the devices into. Part of the config — and therefore of the
-            artifact — because the float merge order is a function of
-            the shard layout (see docs/SHARDING.md). ``1`` reproduces
-            the serial path bit-for-bit; the serial runner itself
-            ignores the knob.
+        shards: contiguous failure-domain device ranges
+            :func:`simulate_fleet` steps, in worker processes when
+            there are several. Part of the config — and therefore of
+            the artifact — because the float merge order is a function
+            of the range layout (see docs/SHARDING.md).
         cvss_rule: when a CVSS block retires — ``"first-page"`` (as soon as
             its weakest page outgrows the ECC; reliability-preserving, the
             conservative reading behind the paper's "ShrinkS is at least as
@@ -230,10 +230,9 @@ class FleetRules:
     One instance is a pure function table over ``(config, mode)``: it
     owns the calibrated RBER model, the tiredness policy, and the
     advertised-capacity rules every discipline applies per device-step.
-    Both the serial loop (:func:`simulate_fleet`) and the sharded
-    workers (:mod:`repro.sim.shard`) evaluate devices through the same
-    instance methods, so the two paths cannot drift: bit-identity
-    between them is structural, not coincidental.
+    The one step loop, :func:`run_device_range`, evaluates devices
+    through these methods whether :func:`simulate_fleet` runs it
+    in-process or in shard workers (:mod:`repro.sim.shard`).
     """
 
     def __init__(self, config: FleetConfig, mode: str,
@@ -347,8 +346,8 @@ class FleetRules:
         :func:`~repro.rng.fork_rng` call advances ``hardware_rng`` — so
         a shard worker replays the full walk (one cheap parent draw per
         device) but only pays the expensive variation draws for its own
-        slice. ``build_devices(rng)`` with defaults is exactly the
-        serial construction.
+        slice. ``build_devices(rng)`` with defaults builds the whole
+        fleet.
         """
         stop = self.config.devices if stop is None else stop
         devices: list[_DeviceState] = []
@@ -372,9 +371,8 @@ def _register_fleet_probes(sampler, mode: str, reuse_ceiling: int,
                            ) -> tuple[dict[str, float], list]:
     """Attach the fleet SMART probes; returns ``(smart_state, handles)``.
 
-    ``smart_state`` is the dict the step loop fills on sampled steps
-    (the probes close over it). Shared by the serial and sharded
-    runners so both export an identical series catalog.
+    ``smart_state`` is the dict the merge fills on sampled steps (the
+    probes close over it).
     """
     mode_labels = {"mode": mode}
     smart_state: dict[str, float] = {
@@ -439,9 +437,9 @@ def _fill_smart_sample(smart_state: dict[str, float], rules: FleetRules,
                        wears: list[float], burn_total: float) -> None:
     """Commit one sampled step's census/wear material to ``smart_state``.
 
-    ``wears`` must already be sorted ascending (the serial loop sorts
-    its device-order list; the sharded merge sorts the shard-major
-    concatenation — same multiset, same sorted sequence).
+    ``wears`` must already be sorted ascending (the merge sorts the
+    shard-major concatenation; any layout gives the same multiset and
+    so the same sorted sequence).
     """
     config = rules.config
     smart_state["functioning"] = float(alive_count)
@@ -478,35 +476,166 @@ def _record_fleet_summary(sampler, result: "FleetResult") -> None:
                    labels={"mode": result.mode}, unit="bytes")
 
 
-def simulate_fleet(config: FleetConfig, mode: str,
-                   seed: int | np.random.Generator | None = None,
-                   rber_model: RBERModel | None = None,
-                   faults: FaultPlan | FaultInjector | None = None,
-                   ) -> FleetResult:
-    """Run one fleet under one device discipline.
+@dataclass
+class RangeOutput:
+    """One device range's merge-ready partials, in device-index order.
 
-    Pass the same ``seed`` for every mode to compare disciplines on
-    identical hardware draws (the AFR stream is forked per mode from the
-    same root, so background failures are statistically — not samplewise —
-    identical).
-
-    ``faults`` schedules injected failures against the ``fleet.step``
-    site: a :class:`~repro.faults.FaultPlan` gets a *fresh* injector per
-    call (so parallel sweeps stay byte-identical regardless of worker
-    count), an explicit :class:`~repro.faults.FaultInjector` is used as
-    given, and ``None`` falls back to the globally installed injector.
+    ``capacity`` holds the range's *ordered partial sums* per step;
+    ``deaths`` is ``(step, device_index, cause)`` tuples in discovery
+    order; ``telemetry`` carries one ``(census, wears, burn_total)``
+    triple per sampled step; ``step_seconds`` is per-step wall time
+    when timing was asked for.
     """
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    if faults is None:
-        injector = faults_mod.injector()
-    elif isinstance(faults, FaultInjector):
-        injector = faults
-    else:
-        injector = FaultInjector(faults)
+
+    start: int
+    stop: int
+    functioning: np.ndarray
+    capacity: np.ndarray
+    death_day: np.ndarray
+    deaths: list[tuple[int, int, str]]
+    telemetry: list[tuple[list[int], list[float], float]]
+    step_seconds: np.ndarray | None
+    wall_s: float
+
+
+def run_device_range(rules: FleetRules, rng: np.random.Generator,
+                     start: int, stop: int, pending: Sequence[bool],
+                     timing: bool, injector: FaultInjector | None = None,
+                     ) -> RangeOutput:
+    """Step devices ``[start, stop)`` through the whole horizon.
+
+    The one fleet step loop. It replays the canonical RNG walk over the
+    whole fleet (the hardware fork over every device index, the load
+    draw, one AFR draw per step) and slices out its own range, so a
+    device sees the same streams whichever range it lands in.
+    ``pending`` marks the steps that produce SMART census and wear
+    material (the sampler's schedule). ``injector`` applies
+    ``fleet.step`` device losses to the first N alive devices of the
+    range in index order, which is the fleet-wide rule only for a
+    whole-fleet range. The loop emits no telemetry;
+    :func:`merge_ranges` replays it.
+    """
+    wall_start = _time.perf_counter()
+    config = rules.config
+    mode = rules.mode
+    hardware_rng = fork_rng(rng, "hardware")
+    afr_rng = fork_rng(rng, "afr", mode)
+    load_rng = fork_rng(rng, "load")
+    devices = rules.build_devices(hardware_rng, start, stop)
+    load_factors = rules.load_factors(load_rng)
+
+    floor = rules.floor_bytes()
+    step_failure_prob = rules.step_failure_prob
+    original_daily_bytes = rules.original_daily_bytes
+    advertised_bytes = rules.advertised_bytes
+    steps = rules.steps
+    n_census = rules.reuse_ceiling + 2
+    census_scratch = [0] * n_census
+
+    functioning = np.zeros(steps, dtype=np.int64)
+    capacity = np.zeros(steps)
+    deaths: list[tuple[int, int, str]] = []
+    telemetry: list[tuple[list[int], list[float], float]] = []
+    step_seconds = np.zeros(steps) if timing else None
+
+    for step in range(steps):
+        step_start = _time.perf_counter() if timing else 0.0
+        day = (step + 1) * config.step_days
+        if injector is not None:
+            # One site hit per fleet step; ``device_loss`` kills the
+            # first N alive devices in index order, independent of any
+            # RNG stream, so the draws downstream are unperturbed.
+            spec = injector.check("fleet.step", mode=mode,
+                                  step=step + 1, day=float(day))
+            if spec is not None:
+                to_kill = int(spec.args.get("devices", 1))
+                for index, dev in enumerate(devices, start):
+                    if to_kill <= 0:
+                        break
+                    if not dev.alive:
+                        continue
+                    dev.alive = False
+                    dev.death_day = day
+                    to_kill -= 1
+                    injector.record_degraded("fleet_device_loss")
+                    deaths.append((step, index, "injected"))
+        sampled = pending[step]
+        if sampled:
+            census = [0] * n_census
+            wears: list[float] = []
+            burn_total = 0.0
+        afr_draws = afr_rng.random(config.devices)
+        total_capacity = 0.0
+        alive_count = 0
+        for index, dev in enumerate(devices, start):
+            if not dev.alive:
+                continue
+            if afr_draws[index] < step_failure_prob:
+                dev.alive = False
+                dev.death_day = day
+                deaths.append((step, index, "afr"))
+                continue
+            adv = advertised_bytes(dev, census_scratch if sampled else None)
+            if adv <= floor or adv <= 0.0:
+                dev.alive = False
+                dev.death_day = day
+                deaths.append((step, index, "wear"))
+                continue
+            if sampled:
+                # Commit the surviving device's census and (entry)
+                # wear to this sample.
+                for i in range(n_census):
+                    census[i] += census_scratch[i]
+                wears.append(dev.wear)
+            # Advance wear through this step at the current live
+            # capacity.
+            raw = rules.in_service_raw_bytes(adv)
+            written = (config.step_days * original_daily_bytes
+                       * load_factors[index])
+            burn = written * config.write_amplification / raw
+            dev.wear += burn
+            if sampled:
+                burn_total += burn
+            alive_count += 1
+            total_capacity += adv
+        functioning[step] = alive_count
+        capacity[step] = total_capacity
+        if sampled:
+            telemetry.append((census, wears, burn_total))
+        if step_seconds is not None:
+            step_seconds[step] = _time.perf_counter() - step_start
+
+    return RangeOutput(
+        start=start,
+        stop=stop,
+        functioning=functioning,
+        capacity=capacity,
+        death_day=np.array([d.death_day for d in devices]),
+        deaths=deaths,
+        telemetry=telemetry,
+        step_seconds=step_seconds,
+        wall_s=_time.perf_counter() - wall_start,
+    )
+
+
+def merge_ranges(rules: FleetRules, outputs: Sequence[RangeOutput],
+                 pending: Sequence[bool]) -> FleetResult:
+    """Merge device ranges shard-major and replay their telemetry.
+
+    Integer series sum exactly; the capacity series are ordered
+    range-partial sums, so the range layout (``config.shards``) fixes
+    the float order. Deaths replay into metrics and the tracer, and
+    sampled steps fill the SMART probes, in whole-fleet discovery
+    order: ranges are contiguous and ascending, so walking them in
+    order visits devices in index order.
+    """
+    config = rules.config
+    mode = rules.mode
     # Bound once; with observability disabled the per-step cost is a single
     # ``is None`` check (the 5% overhead budget in docs/OBSERVABILITY.md).
     instr = fleet_instruments(mode) if obs.metrics_enabled() else None
+    shard_instr = (shard_instruments()
+                   if instr is not None and len(outputs) > 1 else None)
     tracer = obs.tracer() if obs.tracing_enabled() else None
     sampler = obs.timeseries() if obs.timeseries_enabled() else None
     day_now = [0.0]
@@ -514,146 +643,73 @@ def simulate_fleet(config: FleetConfig, mode: str,
         # The fleet model is the time authority here: stamp trace records
         # with the simulated day rather than wall clock.
         tracer.set_clock(lambda: day_now[0])
-    rng = make_rng(seed)
-    rules = FleetRules(config, mode, rber_model)
-
-    hardware_rng = fork_rng(rng, "hardware")
-    afr_rng = fork_rng(rng, "afr", mode)
-    load_rng = fork_rng(rng, "load")
-    devices = rules.build_devices(hardware_rng)
-    load_factors = rules.load_factors(load_rng)
-
-    adv0_bytes = rules.adv0_bytes
-    original_daily_bytes = rules.original_daily_bytes
-    step_failure_prob = rules.step_failure_prob
-    advertised_bytes = rules.advertised_bytes
-    floor = rules.floor_bytes()
+    merge_start = _time.perf_counter()
 
     steps = rules.steps
     days = np.zeros(steps)
     functioning = np.zeros(steps, dtype=np.int64)
     capacity = np.zeros(steps)
     lost = np.zeros(steps)
-    previous_capacity = adv0_bytes * config.devices
+    for output in outputs:
+        functioning += output.functioning
+        capacity += output.capacity
+    deaths_by_step: list[list[tuple[int, str]]] = [[] for _ in range(steps)]
+    for output in outputs:
+        for step, index, cause in output.deaths:
+            deaths_by_step[step].append((index, cause))
 
     # Timeseries probes: fleet aggregates plus population SMART health,
     # labelled by mode so per-mode runs sharing one sampler stay distinct.
-    # Probes read ``smart_state``, which the step loop fills only on
-    # steps the sampler's cadence gate will actually sample
-    # (``sampler.due``) — the census piggybacks on the searchsorted
-    # calls ``advertised_bytes`` makes anyway, so sampling at the
-    # default cadence costs a few percent, and non-sample steps pay one
-    # ``due()`` call.
-    probe_handles: list = []
-    reuse_ceiling = rules.reuse_ceiling
+    # Probes read ``smart_state``, filled only on the scheduled steps.
     smart_state: dict[str, float] = {}
+    probe_handles: list = []
     if sampler is not None:
         smart_state, probe_handles = _register_fleet_probes(
-            sampler, mode, reuse_ceiling)
-
-    census_scratch = [0] * (reuse_ceiling + 2)
-    n_census = reuse_ceiling + 2
+            sampler, mode, rules.reuse_ceiling)
+    n_census = rules.reuse_ceiling + 2
+    sample_cursor = 0
+    previous_capacity = rules.adv0_bytes * config.devices
     try:
         for step in range(steps):
-            step_start = _time.perf_counter() if instr is not None else 0.0
             day = (step + 1) * config.step_days
             day_f = float(day)
             day_now[0] = day_f
-            if injector is not None:
-                # One site hit per fleet step; ``device_loss`` kills the
-                # first N alive devices in index order — deterministic by
-                # construction, independent of any RNG stream, so the AFR
-                # and hardware draws downstream are unperturbed.
-                spec = injector.check("fleet.step", mode=mode,
-                                      step=step + 1, day=day_f)
-                if spec is not None:
-                    to_kill = int(spec.args.get("devices", 1))
-                    for index, dev in enumerate(devices):
-                        if to_kill <= 0:
-                            break
-                        if not dev.alive:
-                            continue
-                        dev.alive = False
-                        dev.death_day = day
-                        to_kill -= 1
-                        injector.record_degraded("fleet_device_loss")
-                        if instr is not None:
-                            instr.device_deaths.labels(
-                                mode=mode, cause="injected").inc()
-                        if tracer is not None:
-                            tracer.event("fleet.device_death", mode=mode,
-                                         device=index, day=day,
-                                         cause="injected")
-            # SMART production (census + wear collection) happens only
-            # on steps the cadence gate will sample.
-            pending = sampler is not None and sampler.due(day_f)
-            if pending:
+            days[step] = day
+            lost[step] = max(0.0, previous_capacity - capacity[step])
+            previous_capacity = capacity[step]
+            for index, cause in deaths_by_step[step]:
+                if instr is not None:
+                    instr.device_deaths.labels(mode=mode, cause=cause).inc()
+                if tracer is not None:
+                    tracer.event("fleet.device_death", mode=mode,
+                                 device=index, day=day, cause=cause)
+            if instr is not None:
+                instr.step_duration.observe(sum(
+                    float(output.step_seconds[step]) for output in outputs
+                    if output.step_seconds is not None))
+                instr.devices_functioning.set(int(functioning[step]))
+                instr.capacity_bytes.set(float(capacity[step]))
+                instr.capacity_lost_bytes.inc(float(lost[step]))
+            if pending[step] and sampler is not None:
                 census = [0] * n_census
                 wears: list[float] = []
                 burn_total = 0.0
-            afr_draws = afr_rng.random(config.devices)
-            total_capacity = 0.0
-            alive_count = 0
-            for index, dev in enumerate(devices):
-                if not dev.alive:
-                    continue
-                if afr_draws[index] < step_failure_prob:
-                    dev.alive = False
-                    dev.death_day = day
-                    if instr is not None:
-                        instr.device_deaths.labels(mode=mode,
-                                                   cause="afr").inc()
-                    if tracer is not None:
-                        tracer.event("fleet.device_death", mode=mode,
-                                     device=index, day=day, cause="afr")
-                    continue
-                adv = advertised_bytes(
-                    dev, census_scratch if pending else None)
-                if adv <= floor or adv <= 0.0:
-                    dev.alive = False
-                    dev.death_day = day
-                    if instr is not None:
-                        instr.device_deaths.labels(mode=mode,
-                                                   cause="wear").inc()
-                    if tracer is not None:
-                        tracer.event("fleet.device_death", mode=mode,
-                                     device=index, day=day, cause="wear")
-                    continue
-                if pending:
-                    # Commit the surviving device's census and (entry)
-                    # wear to this sample.
+                for output in outputs:
+                    range_census, range_wears, range_burn = \
+                        output.telemetry[sample_cursor]
                     for i in range(n_census):
-                        census[i] += census_scratch[i]
-                    wears.append(dev.wear)
-                # Advance wear through this step at the current live
-                # capacity.
-                raw = rules.in_service_raw_bytes(adv)
-                written = (config.step_days * original_daily_bytes
-                           * load_factors[index])
-                burn = written * config.write_amplification / raw
-                dev.wear += burn
-                if pending:
-                    burn_total += burn
-                alive_count += 1
-                total_capacity += adv
-            days[step] = day
-            functioning[step] = alive_count
-            capacity[step] = total_capacity
-            lost[step] = max(0.0, previous_capacity - total_capacity)
-            previous_capacity = total_capacity
-            if instr is not None:
-                instr.step_duration.observe(_time.perf_counter() - step_start)
-                instr.devices_functioning.set(alive_count)
-                instr.capacity_bytes.set(total_capacity)
-                instr.capacity_lost_bytes.inc(float(lost[step]))
-            if pending:
+                        census[i] += range_census[i]
+                    wears.extend(range_wears)
+                    burn_total += range_burn
+                sample_cursor += 1
                 wears.sort()
-                _fill_smart_sample(smart_state, rules, alive_count,
-                                   total_capacity, float(lost[step]),
+                _fill_smart_sample(smart_state, rules,
+                                   int(functioning[step]),
+                                   float(capacity[step]), float(lost[step]),
                                    census, wears, burn_total)
                 sampler.maybe_sample(day_f)
     finally:
-        # The probes close over this run's device list; detach them so a
+        # The probes close over this run's state; detach them so a
         # sampler shared across sequential runs never reads dead state.
         for handle in probe_handles:
             handle.remove()
@@ -664,11 +720,91 @@ def simulate_fleet(config: FleetConfig, mode: str,
         functioning=functioning,
         capacity_bytes=capacity,
         capacity_lost_bytes=lost,
-        death_day=np.array([d.death_day for d in devices]),
-        initial_capacity_bytes=adv0_bytes * config.devices,
+        death_day=np.concatenate([output.death_day for output in outputs]),
+        initial_capacity_bytes=rules.adv0_bytes * config.devices,
     )
     if sampler is not None:
         # Scalar outcomes the claim checker reads directly (stamped at
         # the horizon so the series stays monotone in time).
         _record_fleet_summary(sampler, result)
+    if shard_instr is not None:
+        shard_instr.merge_duration.observe(_time.perf_counter() - merge_start)
+        for shard_index, output in enumerate(outputs):
+            label = str(shard_index)
+            shard_instr.tick_duration.labels(shard=label).observe(
+                output.wall_s)
+            shard_instr.shard_devices.labels(shard=label).set(
+                output.stop - output.start)
     return result
+
+
+def simulate_fleet(config: FleetConfig, mode: str,
+                   seed: int | np.random.Generator | None = None,
+                   rber_model: RBERModel | None = None,
+                   faults: FaultPlan | FaultInjector | None = None,
+                   jobs: int = 1) -> FleetResult:
+    """Run one fleet under one device discipline.
+
+    Pass the same ``seed`` for every mode to compare disciplines on
+    identical hardware draws (the AFR stream is forked per mode from the
+    same root, so background failures are statistically — not samplewise —
+    identical).
+
+    ``config.shards`` picks the device-range layout (docs/SHARDING.md).
+    ``1`` steps the whole fleet as one range in-process; more cuts the
+    devices into contiguous failure-domain shards that up to ``jobs``
+    worker processes step, with a result bit-identical across ``jobs``.
+    Sharded runs need an int ``seed``: workers replay the RNG walk from
+    it, which a live ``Generator`` cannot give them.
+
+    ``faults`` schedules injected failures against the ``fleet.step``
+    site: a :class:`~repro.faults.FaultPlan` gets a *fresh* injector per
+    call (so parallel sweeps stay byte-identical regardless of worker
+    count), an explicit :class:`~repro.faults.FaultInjector` is used as
+    given, and ``None`` falls back to the globally installed injector.
+    Injected device losses pick victims across the whole fleet, so a
+    sharded run with an active injector steps one range instead and
+    warns with a :class:`RuntimeWarning`.
+    """
+    rules = FleetRules(config, mode, rber_model)
+    shards = config.shards
+    if shards > 1 and isinstance(seed, np.random.Generator):
+        raise ConfigError(
+            "a sharded fleet run needs an int seed (workers replay the "
+            "RNG walk from it); pass the seed, not a Generator")
+    if faults is None:
+        injector = faults_mod.injector()
+    elif isinstance(faults, FaultInjector):
+        injector = faults
+    else:
+        injector = FaultInjector(faults)
+    if shards > 1 and injector is not None:
+        warnings.warn(
+            "an active fault plan couples shards globally; stepping the "
+            "fleet as one device range", RuntimeWarning, stacklevel=2)
+        shards = 1
+    sampler = obs.timeseries() if obs.timeseries_enabled() else None
+    pending = (tuple(sampler.schedule(
+                   float((step + 1) * config.step_days)
+                   for step in range(rules.steps)))
+               if sampler is not None else (False,) * rules.steps)
+    timing = obs.metrics_enabled()
+    if shards == 1:
+        outputs = [run_device_range(rules, make_rng(seed), 0,
+                                    config.devices, pending, timing,
+                                    injector)]
+    else:
+        from repro.sim.parallel import parallel_map
+        from repro.sim.shard import (
+            ShardTask,
+            partition_devices,
+            run_shard_task,
+        )
+
+        seed = DEFAULT_SEED if seed is None else int(seed)
+        tasks = [ShardTask(config, mode, seed, start, stop, pending,
+                           timing, rber_model)
+                 for start, stop in partition_devices(config.devices,
+                                                      shards)]
+        outputs = parallel_map(run_shard_task, tasks, jobs=jobs)
+    return merge_ranges(rules, outputs, pending)

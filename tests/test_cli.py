@@ -358,7 +358,7 @@ class TestSweepCommand:
 
 
 class TestFleetShards:
-    """`repro fleet --shards`: the sharded runner through the CLI."""
+    """`repro fleet --shards/--jobs`: sharded fleet runs through the CLI."""
 
     ARGS = ["fleet", "--devices", "6", "--blocks", "16", "--years", "2",
             "--step-days", "20"]
@@ -383,6 +383,20 @@ class TestFleetShards:
         assert main([*self.ARGS, "--shards", "2",
                      "--out", str(path)]) == 0
         assert json.loads(path.read_text())["config"]["shards"] == 2
+
+    def test_jobs_auto_records_resolved_int(self, capsys, tmp_path):
+        auto, j1 = tmp_path / "auto.json", tmp_path / "j1.json"
+        assert main([*self.ARGS, "--shards", "4", "--jobs", "auto",
+                     "--out", str(auto)]) == 0
+        assert main([*self.ARGS, "--shards", "4", "--jobs", "1",
+                     "--out", str(j1)]) == 0
+        document = json.loads(auto.read_text())
+        assert isinstance(document["meta"]["jobs"], int)
+        assert document["meta"]["jobs"] >= 1
+        plain = json.loads(j1.read_text())
+        assert "meta" not in plain
+        del document["meta"]
+        assert document == plain
 
     def test_bad_shards_maps_to_exit_2(self, capsys, tmp_path):
         assert main([*self.ARGS, "--shards", "0",
