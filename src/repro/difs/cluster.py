@@ -36,7 +36,6 @@ from repro.difs.node import StorageNode
 from repro.difs.placement import place_replicas
 from repro.difs.recovery import RecoveryManager
 from repro.difs.redundancy import make_scheme
-from repro.difs.ticker import ClusterTicker
 from repro.difs.volume import MinidiskVolume, MonolithicVolume, Volume
 from repro.rng import make_rng
 from repro.salamander.device import SalamanderSSD
@@ -64,26 +63,10 @@ class ClusterConfig:
         recovery_read_retries: transient recovery-read failures tolerated
             per unit before the source replica is written off (bounds the
             retry loop under injected ``difs.recovery.read`` faults).
-        queue_depth: per-device NCQ depth for the measured IO pipeline
-            (:mod:`repro.io`). The queued path is the default; ``0``
-            selects the legacy direct device calls (kept for the
-            differential conformance suite — both paths are
-            bit-identical).
-        io_batch: opt-in request coalescing on the device queues.
-            Merging changes physical access patterns (merged reads
-            sense each touched fPage once across the merged range), so
-            it is excluded from the bit-identity contract and off by
-            default.
-        io_batch_chunks: batch-submission window — chunk writes are
-            staged into one :class:`repro.io.vector.IOVector` per device
-            queue and dispatched with a single ``execute_vector`` call
-            once this many chunks accumulate (or at the next read,
-            stats poll, or explicit :meth:`Cluster.flush_io`). ``0``
-            (the default) dispatches each request individually. Per-
-            device request order is unchanged, so the batched path stays
-            bit-identical to the direct path while writes succeed; a
-            write that fails at flush time surfaces as a volume failure
-            plus queued repair instead of a synchronous retry.
+
+    Device IO is not configured here: every device gets a fresh default
+    :class:`repro.io.queue.DeviceQueue` when it joins
+    (:meth:`Cluster.add_device`), and all chunk IO goes through it.
     """
 
     replication: int = 3
@@ -94,28 +77,11 @@ class ClusterConfig:
     rs_k: int = 4
     rs_m: int = 2
     recovery_read_retries: int = 3
-    queue_depth: int = 8
-    io_batch: bool = False
-    io_batch_chunks: int = 0
 
     def __post_init__(self) -> None:
         if self.replication < 1:
             raise ConfigError(
                 f"replication must be >= 1, got {self.replication!r}")
-        if self.queue_depth < 0:
-            raise ConfigError(
-                f"queue_depth must be >= 0 (0 = direct path), "
-                f"got {self.queue_depth!r}")
-        if self.io_batch and self.queue_depth == 0:
-            raise ConfigError(
-                "io_batch needs the queued path; set queue_depth >= 1")
-        if self.io_batch_chunks < 0:
-            raise ConfigError(
-                f"io_batch_chunks must be >= 0 (0 = unbatched), "
-                f"got {self.io_batch_chunks!r}")
-        if self.io_batch_chunks and self.queue_depth == 0:
-            raise ConfigError(
-                "io_batch_chunks needs the queued path; set queue_depth >= 1")
         if self.recovery_read_retries < 0:
             raise ConfigError(
                 f"recovery_read_retries must be >= 0, "
@@ -155,9 +121,6 @@ class Cluster:
         self._chunks_by_volume: dict[str, set[str]] = {}
         self._device_count = 0
         self._audit_cursor = 0
-        # Batch submission (io_batch_chunks > 0): staging and dispatch
-        # mechanics live in the ticker; recovery effects stay here.
-        self._ticker = ClusterTicker(self.config.io_batch_chunks)
         self._faults = faults.injector()
         self._instr = difs_instruments()
         if obs.metrics_enabled():
@@ -177,13 +140,19 @@ class Cluster:
         return node
 
     def add_device(self, node_id: str, device) -> list[Volume]:
-        """Attach a device; returns the volumes it contributed."""
+        """Attach a device; returns the volumes it contributed.
+
+        The device gets a fresh default submission queue. Every volume
+        it contributes, regenerated minidisks included, reads and
+        writes through that one queue: the NCQ is a device resource.
+        """
         if node_id not in self.nodes:
             raise ConfigError(f"unknown node {node_id}")
         node = self.nodes[node_id]
         device_name = f"dev{self._device_count}"
         self._device_count += 1
         node.devices.append(device)
+        device.attach_queue()
         if isinstance(device, SalamanderSSD):
             return self._add_salamander(node, device_name, device)
         return [self._add_monolithic(node, device_name, device)]
@@ -196,34 +165,11 @@ class Cluster:
         self._chunks_by_volume.setdefault(volume.volume_id, set())
         return volume
 
-    def _attach_io_queue(self, device) -> None:
-        """Front ``device`` with a submission queue per cluster config.
-
-        The queued pipeline is the default path; ``queue_depth == 0``
-        keeps the legacy direct calls (the differential suite runs both
-        and asserts bit-identical results). One queue per *device* —
-        every minidisk volume of a Salamander SSD shares it, because
-        the NCQ is a device resource.
-        """
-        if self.config.queue_depth == 0:
-            return
-        if not hasattr(device, "attach_queue"):
-            return  # test doubles without the BlockDevice queue surface
-        device.attach_queue(depth=self.config.queue_depth,
-                            coalesce=self.config.io_batch)
-
-    def _volume_queue(self, device):
-        if self.config.queue_depth == 0 or not hasattr(device, "io_queue"):
-            return None
-        return device.io_queue
-
     def _add_monolithic(self, node: StorageNode, device_name: str,
                         device) -> Volume:
-        self._attach_io_queue(device)
         volume_id = f"{node.node_id}/{device_name}"
         volume = MonolithicVolume(volume_id, node.node_id,
                                   self.unit_lbas, device)
-        volume.queue = self._volume_queue(device)
         self._register(node, volume)
         if hasattr(device, "shrink_listener"):
             device.shrink_listener = (
@@ -232,7 +178,6 @@ class Cluster:
 
     def _add_salamander(self, node: StorageNode, device_name: str,
                         device: SalamanderSSD) -> list[Volume]:
-        self._attach_io_queue(device)
         volumes = []
         for mdisk in device.active_minidisks():
             volumes.append(self._register_minidisk(
@@ -247,9 +192,6 @@ class Cluster:
         volume_id = f"{node.node_id}/{device_name}/md{mdisk_id}"
         volume = MinidiskVolume(volume_id, node.node_id,
                                 self.unit_lbas, device, mdisk_id)
-        # Regenerated minidisks join the same device queue (the NCQ
-        # outlives any one minidisk).
-        volume.queue = self._volume_queue(device)
         return self._register(node, volume)
 
     # -- device event handlers (enqueue only) -------------------------------------------
@@ -296,9 +238,6 @@ class Cluster:
         for index, payloads in enumerate(units):
             self.add_unit(chunk, index, payloads)
         self._instr.chunks_created.inc()
-        self._note_chunk_staged()
-        if self.config.io_batch:
-            self.flush_io()
         return chunk
 
     def read_chunk(self, chunk_id: str) -> bytes:
@@ -354,9 +293,6 @@ class Cluster:
             chunk.replicas.append(replica)
             self._chunks_by_volume[replica.volume_id].add(chunk_id)
         chunk.version += 1
-        self._note_chunk_staged()
-        if self.config.io_batch:
-            self.flush_io()
         return chunk
 
     def delete_chunk(self, chunk_id: str) -> None:
@@ -379,7 +315,6 @@ class Cluster:
         the next client read. Walks the namespace from a rolling cursor;
         ``max_chunks`` bounds one sweep. Returns counters.
         """
-        self._dispatch_staged()  # scrub reads must observe staged writes
         chunk_ids = sorted(self.namespace)
         if not chunk_ids:
             return {"chunks_checked": 0, "units_checked": 0,
@@ -425,7 +360,6 @@ class Cluster:
         for ``count`` consecutive polls). Returns the number of
         newly-detected failures — outages are transient and never count.
         """
-        self._dispatch_staged()  # staged writes may change liveness
         if self._faults is not None:
             self._faults.note_poll()
         found = 0
@@ -461,7 +395,6 @@ class Cluster:
         place for the recovery manager to retire. ``preloaded`` units (e.g.
         read off a draining volume by recovery) count toward the quorum.
         """
-        self._dispatch_staged()  # reads must observe staged writes
         units: dict[int, list[bytes]] = dict(preloaded or {})
         needed = self.scheme.min_units
         injector = self._faults
@@ -558,8 +491,7 @@ class Cluster:
                         f"could not allocate a slot for {chunk.chunk_id}")
                 continue
             try:
-                if not self._stage_chunk_write(volume, slot, payloads):
-                    volume.write_chunk(slot, payloads)
+                volume.write_chunk(slot, payloads)
             except ReproError:
                 # The device died or the minidisk vanished mid-write; fail
                 # the volume and retry elsewhere.
@@ -576,41 +508,6 @@ class Cluster:
             raise ConfigError(f"unknown chunk {chunk_id}")
         return chunk
 
-    # -- batch submission (io_batch_chunks) ---------------------------------------------------
-
-    def _stage_chunk_write(self, volume: Volume, slot: int,
-                           payloads: list[bytes]) -> bool:
-        """Stage one chunk write for batched dispatch; False = write now."""
-        return self._ticker.stage_chunk_write(volume, slot, payloads)
-
-    def _note_chunk_staged(self) -> None:
-        """Close the batching window after ``io_batch_chunks`` chunks."""
-        if self._ticker.note_chunk_staged():
-            self.flush_io()
-
-    def _dispatch_staged(self) -> None:
-        """Dispatch staged writes; apply recovery effects for failures.
-
-        The ticker executes one ``execute_vector`` per staged queue
-        (shard-partitioned, order-preserving) and reports per-member
-        errors without raising — the batch keeps going, exactly as
-        independent scalar submissions would. Each failed write fails
-        its volume and queues repair for the replica that never reached
-        flash — the asynchronous analogue of the synchronous retry in
-        :meth:`_place_and_write`.
-        """
-        for volume_id, slot, _ in self._ticker.dispatch():
-            self.recovery.volume_failed(volume_id)
-            for chunk_id in sorted(self._chunks_by_volume.get(
-                    volume_id, ())):
-                chunk = self.namespace.get(chunk_id)
-                replica = (chunk.replica_on(volume_id)
-                           if chunk is not None else None)
-                if replica is not None and replica.slot == slot:
-                    self.forget_replica(chunk, replica, release=False)
-                    self.recovery.chunk_degraded(chunk_id)
-                    break
-
     # -- namespace persistence ---------------------------------------------------------------------
 
     def namespace_snapshot(self) -> dict:
@@ -621,7 +518,6 @@ class Cluster:
         their own persistence (OOB replay + NVRAM snapshots); this is the
         coordinator's durable metadata, as HDFS's fsimage is.
         """
-        self._dispatch_staged()  # snapshot only placements that reached flash
         return {
             "config": {
                 "replication": self.config.replication,
@@ -696,16 +592,10 @@ class Cluster:
         queues, seen = [], set()
         for volume in self.volumes.values():
             queue = volume.queue
-            if queue is not None and id(queue) not in seen:
+            if id(queue) not in seen:
                 seen.add(id(queue))
                 queues.append(queue)
         return queues
-
-    def flush_io(self) -> None:
-        """Dispatch batch-staged chunk writes, then coalesce-staged requests."""
-        self._dispatch_staged()
-        for queue in self.device_queues():
-            queue.flush()
 
     def io_stats(self) -> dict[str, float]:
         """Aggregate measured-latency counters across all device queues.
@@ -714,7 +604,6 @@ class Cluster:
         with what one ``repro_io_latency_us`` histogram over all devices
         would report.
         """
-        self._dispatch_staged()  # staged writes are not yet counted
         queues = self.device_queues()
         dispatched = sum(q.stats.dispatched for q in queues)
         total_latency = sum(q.stats.total_latency_us for q in queues)
@@ -749,7 +638,6 @@ class Cluster:
         """
         from repro.obs.endurance import CAUSES
 
-        self._dispatch_staged()  # staged writes have not worn flash yet
         programs = dict.fromkeys(CAUSES, 0)
         program_opages = dict.fromkeys(CAUSES, 0)
         erases = dict.fromkeys(CAUSES, 0)

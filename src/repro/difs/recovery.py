@@ -80,9 +80,9 @@ class RecoveryManager:
         self._pending_chunk_times: list[float] = []
 
     def _set_queue_gauges(self) -> None:
-        self._instr.queue_depth.labels(kind="volume").set(
+        self._instr.recovery_pending.labels(kind="volume").set(
             len(self._pending_volumes))
-        self._instr.queue_depth.labels(kind="chunk").set(
+        self._instr.recovery_pending.labels(kind="chunk").set(
             len(self._pending_chunks))
 
     # -- enqueue (safe to call from device event listeners) ------------------------

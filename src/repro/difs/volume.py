@@ -9,26 +9,27 @@ remaining good capacity".
 Volumes also own chunk-slot allocation: a volume formatted for
 ``chunk_lbas``-sized chunks exposes ``capacity_lbas // chunk_lbas`` slots.
 
-Chunk IO goes through the device's :class:`repro.io.queue.DeviceQueue`
-when the cluster has attached one (``volume.queue``): writes become one
-``write`` request, reads one ``read_range`` request, and every
-completion carries measured wait/service/latency. With no queue the
-legacy direct device calls run — the queued path dispatches through
-exactly the same methods in the same order, so both paths are
-bit-identical (the differential conformance suite pins this).
+Chunk IO always goes through the backing device's
+:class:`repro.io.queue.DeviceQueue` (``volume.queue``, shared by every
+volume of the device): a write is one ``write`` request, a read one
+``read_range`` request, and every completion carries measured
+wait/service/latency.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError
 from repro.io.request import IORequest
 from repro.salamander.device import SalamanderSSD
 
 
 class Volume(ABC):
     """A failure domain with slot-granular space management.
+
+    Subclasses set ``device``, the backing block device, before calling
+    ``__init__``; chunk IO goes through that device's queue.
 
     Args:
         volume_id: cluster-unique name.
@@ -43,9 +44,6 @@ class Volume(ABC):
         self.volume_id = volume_id
         self.node_id = node_id
         self.chunk_lbas = chunk_lbas
-        #: Device submission queue (a :class:`repro.io.queue.DeviceQueue`)
-        #: the cluster attaches; ``None`` means direct device calls.
-        self.queue = None
         self._failed = False
         self.total_slots = self.capacity_lbas() // chunk_lbas
         self._free_slots = set(range(self.total_slots))
@@ -60,13 +58,10 @@ class Volume(ABC):
     def device_alive(self) -> bool:
         """Whether the backing device still serves this volume."""
 
-    @abstractmethod
-    def _write_lba(self, lba: int, data: bytes) -> None:
-        ...
-
-    @abstractmethod
-    def _read_lba(self, lba: int) -> bytes:
-        ...
+    @property
+    def queue(self):
+        """The backing device's :class:`repro.io.queue.DeviceQueue`."""
+        return self.device.io_queue
 
     # -- slot management ------------------------------------------------------------
 
@@ -115,56 +110,32 @@ class Volume(ABC):
     #: Minidisk address space chunk requests target (``None`` = flat).
     _io_mdisk_id: int | None = None
 
-    def chunk_write_request(self, slot: int,
-                            payloads: list[bytes]) -> IORequest:
-        """Build (and validate) the queue request for one chunk write.
+    def write_chunk(self, slot: int, payloads: list[bytes]) -> None:
+        """Write one chunk (one oPage payload per LBA) into ``slot``.
 
-        The cluster's batch-submission path uses this to stage many chunk
-        writes into one :class:`repro.io.vector.IOVector` per device queue;
-        :meth:`write_chunk` dispatches the identical request one at a time.
+        One ``write`` request; device errors raise synchronously from
+        ``submit``, exactly as the per-LBA device writes would.
         """
         self._check_slot(slot)
         if len(payloads) != self.chunk_lbas:
             raise ConfigError(
                 f"chunk needs {self.chunk_lbas} payloads, got {len(payloads)}")
-        return IORequest(op="write", lba=slot * self.chunk_lbas,
-                         payloads=list(payloads),
-                         mdisk_id=self._io_mdisk_id)
-
-    def write_chunk(self, slot: int, payloads: list[bytes]) -> None:
-        """Write one chunk (one oPage payload per LBA) into ``slot``.
-
-        Routed through the device queue when one is attached; errors
-        raise synchronously from ``submit`` exactly as the direct
-        per-LBA writes would.
-        """
-        request = self.chunk_write_request(slot, payloads)
-        if self.queue is not None:
-            self.queue.submit(request)
-            return
-        for offset, payload in enumerate(payloads):
-            self._write_lba(request.lba + offset, payload)
+        self.queue.submit(IORequest(
+            op="write", lba=slot * self.chunk_lbas, payloads=list(payloads),
+            mdisk_id=self._io_mdisk_id))
 
     def read_chunk(self, slot: int) -> list[bytes]:
         """Read one chunk's payloads; raises device errors through.
 
-        Uses the device's scatter-gather path (one sense per touched
-        fPage) so system-level large-read performance inherits the §4.2
-        ``P/(P-L)`` behaviour. With a queue attached the read is one
-        measured ``read_range`` request over the same device method.
+        One measured ``read_range`` request over the device's
+        scatter-gather path (one sense per touched fPage), so
+        system-level large-read performance inherits the §4.2
+        ``P/(P-L)`` behaviour.
         """
         self._check_slot(slot)
-        base = slot * self.chunk_lbas
-        if self.queue is not None:
-            completion = self.queue.execute(IORequest(
-                op="read_range", lba=base, count=self.chunk_lbas,
-                mdisk_id=self._io_mdisk_id))
-            return completion.result
-        return self._read_range(base, self.chunk_lbas)
-
-    def _read_range(self, lba: int, count: int) -> list[bytes]:
-        """Default scatter-gather: adapters override with device support."""
-        return [self._read_lba(lba + offset) for offset in range(count)]
+        return self.queue.execute(IORequest(
+            op="read_range", lba=slot * self.chunk_lbas,
+            count=self.chunk_lbas, mdisk_id=self._io_mdisk_id)).result
 
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self.total_slots:
@@ -192,15 +163,6 @@ class MonolithicVolume(Volume):
 
     def device_alive(self) -> bool:
         return self.device.is_alive
-
-    def _write_lba(self, lba: int, data: bytes) -> None:
-        self.device.write(lba, data)
-
-    def _read_lba(self, lba: int) -> bytes:
-        return self.device.read(lba)
-
-    def _read_range(self, lba: int, count: int) -> list[bytes]:
-        return self.device.read_range(lba, count)
 
     def shrink_to(self, new_capacity_lbas: int) -> list[int]:
         """Apply a device shrink; returns occupied slots now out of range."""
@@ -260,12 +222,3 @@ class MinidiskVolume(Volume):
             return False
         self.device.release_minidisk(self.mdisk_id)
         return True
-
-    def _write_lba(self, lba: int, data: bytes) -> None:
-        self.device.write(self.mdisk_id, lba, data)
-
-    def _read_lba(self, lba: int) -> bytes:
-        return self.device.read(self.mdisk_id, lba)
-
-    def _read_range(self, lba: int, count: int) -> list[bytes]:
-        return self.device.read_range(self.mdisk_id, lba, count)

@@ -8,9 +8,9 @@ does two jobs:
    ``execute``), in submission order, through exactly the same methods
    direct callers would use — so with coalescing off the data path,
    RNG draw order and ``_audit_fastpath`` state are bit-identical to
-   the legacy direct path (the differential conformance suite asserts
-   this). Errors raise synchronously from ``submit``/``execute``,
-   preserving direct-call exception semantics.
+   calling the device directly (the conformance suite asserts this).
+   Errors raise synchronously from ``submit``/``execute``, preserving
+   direct-call exception semantics.
 
 2. **Time accounting.** The queue keeps a device-local virtual clock
    in microseconds and models the device as ``c`` parallel channel
@@ -35,9 +35,11 @@ materialised only at the API boundary (``execute``'s return, ``poll``,
 traced requests), which keeps the per-request object churn off the hot
 path. The batch entry point :meth:`DeviceQueue.execute_vector` goes
 further: it dispatches a whole :class:`~repro.io.vector.IOVector` with
-no per-member request or completion objects at all, routing runs of
-point reads through the device's ``read_batch`` kernel when that
-preserves timing bit-identity (see ``timed_batch_reads``).
+no per-member request or completion objects at all (a sampled member
+gets its own for its trace record), routing runs of point reads
+through the device's ``read_batch`` kernel when that preserves timing
+bit-identity (see ``timed_batch_reads``). All three entry points share
+one per-request kernel, so their timing columns agree bit for bit.
 
 ``depth`` bounds the in-flight window like a real NCQ: submitting into
 a full queue first retires the oldest in-flight completion and clamps
@@ -58,12 +60,14 @@ min-deadline semantics — set iff at least one member missed).
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 
 from repro import obs
 from repro.errors import ConfigError, UncorrectableError
 from repro.io.protocols import device_kind_of
 from repro.io.request import IOCompletion, IORequest
 from repro.io.vector import (
+    OP_CODES,
     OP_FLUSH,
     OP_NAMES,
     OP_READ,
@@ -171,6 +175,13 @@ class _CompletionLog:
 class DeviceQueue:
     """Submission queue and service-time meter for one block device.
 
+    Every request runs through one per-request kernel, whichever entry
+    point it came in by (``submit``, ``execute`` or a member of
+    ``execute_vector``): :meth:`_serve` calls the device and measures
+    the chip time the call took, and :meth:`_complete` places the
+    request on a channel server, advances the clock and records stats,
+    metrics, deadlines and SLO observations.
+
     Args:
         device: any :class:`repro.io.protocols.BlockDevice`.
         depth: in-flight window (>= 1).
@@ -197,6 +208,7 @@ class DeviceQueue:
         self._chip = chip
         geometry = getattr(chip, "geometry", None)
         self.channels = int(getattr(geometry, "channels", 1) or 1)
+        self._servers = range(self.channels)
         #: Device-local virtual clock (us). Monotone; advanced by
         #: arrivals, never by service (servers run ahead of the clock).
         self.clock_us = 0.0
@@ -210,9 +222,8 @@ class DeviceQueue:
         self._next_tag = 0
         self.stats = QueueStats()
         self._instr = io_instruments(self.device_kind)
-        self._latency_children: dict[str, object] = {}
-        self._wait_children: dict[str, object] = {}
-        self._request_children: dict[str, object] = {}
+        #: op name -> (latency observe, wait observe, request count inc).
+        self._op_children: dict[str, tuple] = {}
         # Request tracing / SLO tracking bind at construction, like
         # fault injection: None unless installed, one identity test on
         # the hot path when off.
@@ -221,13 +232,9 @@ class DeviceQueue:
                             if self._reqtrace is not None else None)
         self._slo = slo.engine()
         if obs.metrics_enabled():
-            obs.metrics().add_collect_hook(self._refresh_deadline_gauge)
-
-    def _refresh_deadline_gauge(self) -> None:
-        stats = self.stats
-        self._instr.deadline_miss_ratio.set(
-            stats.deadline_misses / stats.dispatched
-            if stats.dispatched else 0.0)
+            obs.metrics().add_collect_hook(
+                partial(_publish_miss_ratio, self._instr),
+                key=("repro_io_deadline_miss_ratio", self.device_kind))
 
     # -- submission -----------------------------------------------------------
 
@@ -238,11 +245,7 @@ class DeviceQueue:
         device call would; the errored completion is still recorded
         and visible to :meth:`poll`.
         """
-        request.tag = self._next_tag
-        self._next_tag += 1
-        self.stats.submitted += 1
-        if self._rt_sampler is not None:
-            self._maybe_trace(request)
+        self._accept(request)
         if self.coalesce:
             if self._try_merge(request, at_us):
                 return request
@@ -252,19 +255,8 @@ class DeviceQueue:
             self._staged_deadlines = [request.deadline_us]
             request.submit_us = self._arrival(at_us)
             return request
-        self._dispatch(request, at_us)
+        self._post(self._dispatch(request, at_us))
         return request
-
-    def submit_vector(self, vec: IOVector) -> None:
-        """Submit every member of ``vec`` through :meth:`submit`.
-
-        A member's ``at_us`` column stamps its open-loop arrival; zero
-        means closed loop (arrive at the device clock). Completions
-        land in the usual window and drain through :meth:`poll`.
-        """
-        for i in range(len(vec)):
-            at = float(vec.at_us[i])
-            self.submit(vec.request(i), None if at == 0.0 else at)
 
     def execute(self, request: IORequest,
                 at_us: float | None = None) -> IOCompletion:
@@ -274,19 +266,9 @@ class DeviceQueue:
         its completion is consumed (it will not appear in ``poll``).
         Errors re-raise, preserving direct-call semantics.
         """
-        request.tag = self._next_tag
-        self._next_tag += 1
-        self.stats.submitted += 1
-        if self._rt_sampler is not None:
-            self._maybe_trace(request)
+        self._accept(request)
         self._flush_staged()
-        idx = self._dispatch_inner(request, at_us)
-        # Consume it: sync callers own the result.
-        if self._inflight and self._inflight[-1] == idx:
-            self._inflight.pop()
-        elif idx in self._done:
-            self._done.remove(idx)
-        completion = self._log.materialise(idx)
+        completion = self._log.materialise(self._dispatch(request, at_us))
         self._maybe_trim()
         self._set_inflight_gauge()
         if completion.error is not None:
@@ -304,44 +286,30 @@ class DeviceQueue:
         paths. The ``at_us`` column is ignored: every member arrives at
         the device clock, like ``execute(request)``.
 
-        The fast path dispatches straight from the vector's columns (no
-        per-member request/completion objects) and routes runs of >= 2
-        flat point reads through the device's ``read_batch`` kernel
-        when the device declares ``timed_batch_reads`` and no fault
-        injector is bound. With request-trace sampling installed the
-        whole vector takes the scalar path, so sampling decisions and
-        trace segments stay identical.
+        Members dispatch straight from the vector's columns through the
+        per-request kernel, with no request or completion objects.
+        Request tracing is a per-member hook: a sampled member gets its
+        own request object and trace context, the rest stay columnar.
+        Runs of >= 2 flat point reads go through the device's
+        ``read_batch`` kernel when the device declares
+        ``timed_batch_reads`` and neither a fault injector nor a
+        request tracer is bound.
         """
         n = len(vec)
         self._flush_staged()
         tag0 = self._next_tag
         if n == 0:
             return CompletionVector(vec, tag0, [], [], [], [], [], [])
-        if self._rt_sampler is not None:
-            return self._execute_vector_scalar(vec)
         self._next_tag += n
-        stats = self.stats
-        stats.submitted += n
+        self.stats.submitted += n
         # NCQ backpressure, hoisted: vector members are consumed
         # synchronously (they never occupy the window), so one drain at
         # entry leaves the window below ``depth`` for the whole batch —
         # the per-member loop would find the same state.
-        log = self._log
-        arrival_floor = 0.0
-        while len(self._inflight) >= self.depth:
-            oldest = self._inflight.popleft()
-            arrival_floor = max(arrival_floor, log.end_us(oldest))
-            self._done.append(oldest)
+        arrival = self._admit(self.clock_us)
         device = self.device
         chip = self._chip
-        chip_stats = chip.stats if chip is not None else None
-        channel_free = self._channel_free
-        free_get = channel_free.__getitem__
-        server_range = range(self.channels)
-        slo_engine = self._slo
-        kind = self.device_kind
-        keep = self.keep_latencies
-        instr = self._instr
+        sampler = self._rt_sampler
         ops = vec.op[:n].tolist()
         lbas = vec.lba[:n].tolist()
         counts = vec.count[:n].tolist()
@@ -358,65 +326,14 @@ class DeviceQueue:
         n_lbas = getattr(device, "n_lbas", None)
         batch_read = (
             getattr(device, "read_batch", None)
-            if (n_lbas is not None
+            if (sampler is None and n_lbas is not None
                 and getattr(device, "timed_batch_reads", False)
                 and getattr(device, "_faults", None) is None
                 and (chip is None
                      or getattr(chip, "_faults", None) is None))
             else None)
-        clock = self.clock_us
-        obs_children: dict[int, tuple] = {}
-
-        def meter(m: int, code: int, service: float, work: float,
-                  error) -> None:
-            # Same arithmetic as the scalar _dispatch_inner/_record
-            # pair, member by member, so every float matches bit for
-            # bit (deadline stats depend on it).
-            nonlocal clock, arrival_floor
-            arrival = clock if clock >= arrival_floor else arrival_floor
-            arrival_floor = 0.0
-            server = min(server_range, key=free_get)
-            start = max(arrival, channel_free[server])
-            end = start + service
-            channel_free[server] = end
-            if end > clock:
-                clock = end
-            submit_col[m] = arrival
-            start_col[m] = start
-            end_col[m] = end
-            work_col[m] = work
-            latency = end - arrival
-            wait = start - arrival
-            stats.total_latency_us += latency
-            stats.total_wait_us += wait
-            stats.total_service_us += end - start
-            stats.total_work_us += work
-            if keep:
-                stats.latencies_us.append(latency)
-            kids = obs_children.get(code)
-            if kids is None:
-                name = OP_NAMES[code]
-                kids = (self._latency_child(name).observe,
-                        self._wait_child(name).observe,
-                        self._request_child(name).inc, name)
-                obs_children[code] = kids
-            kids[0](latency)
-            kids[1](wait)
-            kids[2]()
-            if error is not None:
-                stats.errors += 1
-                instr.errors.inc()
-            deadline = deadlines[m]
-            missed = deadline == deadline and end > deadline
-            if missed:
-                stats.deadline_misses += 1
-                instr.deadline_misses.inc()
-            if slo_engine is not None:
-                slo_engine.observe(
-                    end_us=end, latency_us=latency, op=kids[3],
-                    stream=streams[m], device_kind=kind,
-                    deadline_missed=missed)
-
+        serve = self._serve
+        complete = self._complete
         i = 0
         while i < n:
             op = ops[i]
@@ -447,104 +364,41 @@ class DeviceQueue:
                                 errors[m] = res
                             else:
                                 results[m] = [res]
-                            meter(m, OP_READ, svc[k], wrk[k], errors[m])
+                            submit_col[m] = arrival
+                            start_col[m], end_col[m] = complete(
+                                "read", arrival, svc[k], wrk[k],
+                                errors[m], deadlines[m], streams[m])
+                            work_col[m] = wrk[k]
+                            arrival = self.clock_us
                         i = j
                         continue
-            mdisk = mdisks[i]
-            lba = lbas[i]
-            error = None
-            result = None
-            if chip is not None:
-                busy_before = chip_stats.busy_us
-                chan_before = list(chip.channel_busy_us)
-            try:
-                if op == OP_READ:
-                    result = ([device.read(lba)] if mdisk < 0
-                              else [device.read(mdisk, lba)])
-                elif op == OP_WRITE:
-                    payloads = payload_col[i]
-                    stream = streams[i]
-                    if mdisk < 0:
-                        if stream:
-                            for off, data in enumerate(payloads):
-                                device.write(lba + off, data,
-                                             stream=stream)
-                        else:
-                            for off, data in enumerate(payloads):
-                                device.write(lba + off, data)
-                    else:
-                        for off, data in enumerate(payloads):
-                            device.write(mdisk, lba + off, data)
-                elif op == OP_READ_RANGE:
-                    result = (device.read_range(lba, counts[i])
-                              if mdisk < 0
-                              else device.read_range(mdisk, lba,
-                                                     counts[i]))
-                elif op == OP_TRIM:
-                    if mdisk < 0:
-                        device.trim(lba)
-                    else:
-                        device.trim(mdisk, lba)
-                elif op == OP_TRIM_RANGE:
-                    if mdisk < 0:
-                        device.trim_range(lba, counts[i])
-                    else:
-                        for off in range(counts[i]):
-                            device.trim(mdisk, lba + off)
-                elif op == OP_FLUSH:
-                    device.flush()
-                else:  # pragma: no cover - validate() rejects these
-                    raise ConfigError(f"unhandled op code {op!r}")
-            except Exception as exc:  # noqa: BLE001 - recorded per member
-                error = exc
-            if chip is not None:
-                work = chip_stats.busy_us - busy_before
-                chan_after = chip.channel_busy_us
-                service = max(
-                    (chan_after[c] - chan_before[c]
-                     for c in range(len(chan_before))), default=0.0)
-            else:
-                work = service = 0.0
+            ctx = None
+            if sampler is not None and sampler.sample():
+                request = vec.request(i)
+                request.tag = tag0 + i
+                request.submit_us = arrival
+                ctx = request.trace = self._reqtrace.begin()
+            result, error, service, work, busy = serve(
+                op, lbas[i], counts[i], payload_col[i], mdisks[i],
+                streams[i], ctx)
+            start, end = complete(OP_NAMES[op], arrival, service, work,
+                                  error, deadlines[i], streams[i])
+            submit_col[i] = arrival
+            start_col[i] = start
+            end_col[i] = end
+            work_col[i] = work
             results[i] = result
             errors[i] = error
-            meter(i, op, service, work, error)
+            if ctx is not None:
+                request.trace = None
+                self._reqtrace.finish(ctx, IOCompletion(
+                    request=request,
+                    status="error" if error is not None else "ok",
+                    result=result, error=error, submit_us=arrival,
+                    start_us=start, end_us=end, work_us=work),
+                    self.device_kind, busy + work)
+            arrival = self.clock_us
             i += 1
-        self.clock_us = clock
-        stats.dispatched += n
-        self._set_inflight_gauge()
-        return CompletionVector(vec, tag0, submit_col, start_col,
-                                end_col, work_col, results, errors)
-
-    def _execute_vector_scalar(self, vec: IOVector) -> CompletionVector:
-        """Reference member-by-member path for :meth:`execute_vector`."""
-        n = len(vec)
-        tag0 = self._next_tag
-        submit_col = [0.0] * n
-        start_col = [0.0] * n
-        end_col = [0.0] * n
-        work_col = [0.0] * n
-        results: list = [None] * n
-        errors: list = [None] * n
-        log = self._log
-        for i in range(n):
-            request = vec.request(i)
-            request.tag = self._next_tag
-            self._next_tag += 1
-            self.stats.submitted += 1
-            if self._rt_sampler is not None:
-                self._maybe_trace(request)
-            idx = self._dispatch_inner(request, None)
-            if self._inflight and self._inflight[-1] == idx:
-                self._inflight.pop()
-            elif idx in self._done:
-                self._done.remove(idx)
-            submit_col[i] = log.submit[idx - log.base]
-            start_col[i] = log.start[idx - log.base]
-            end_col[i] = log.end[idx - log.base]
-            work_col[i] = log.work[idx - log.base]
-            results[i] = log.result[idx - log.base]
-            errors[i] = log.error[idx - log.base]
-        self._maybe_trim()
         self._set_inflight_gauge()
         return CompletionVector(vec, tag0, submit_col, start_col,
                                 end_col, work_col, results, errors)
@@ -580,13 +434,28 @@ class DeviceQueue:
             return self.clock_us
         return max(at_us, 0.0)
 
-    def _maybe_trace(self, request: IORequest) -> None:
+    def _accept(self, request: IORequest) -> None:
+        """Tag and count an incoming request; maybe sample it."""
+        request.tag = self._next_tag
+        self._next_tag += 1
+        self.stats.submitted += 1
         # The sample decision is a pure function of (tracer seed,
         # device kind, per-queue submission index) — independent of
         # wall clock, process layout and other queues, which is what
         # keeps artifacts byte-identical across ``--jobs``.
-        if self._rt_sampler.sample() and request.trace is None:
+        if (self._rt_sampler is not None and self._rt_sampler.sample()
+                and request.trace is None):
             request.trace = self._reqtrace.begin()
+
+    def _admit(self, arrival: float) -> float:
+        """NCQ backpressure: a full window blocks the host until the
+        oldest in-flight completion frees a slot."""
+        inflight = self._inflight
+        while len(inflight) >= self.depth:
+            oldest = inflight.popleft()
+            arrival = max(arrival, self._log.end_us(oldest))
+            self._done.append(oldest)
+        return arrival
 
     def _try_merge(self, request: IORequest,
                    at_us: float | None) -> bool:
@@ -631,189 +500,179 @@ class DeviceQueue:
         member_deadlines = self._staged_deadlines
         self._staged_merged = 1
         self._staged_deadlines = None
-        self._dispatch(staged, staged.submit_us, merged=merged,
-                       member_deadlines=member_deadlines)
+        self._post(self._dispatch(staged, staged.submit_us, merged=merged,
+                                  member_deadlines=member_deadlines))
+
+    def _post(self, idx: int) -> None:
+        """Window a dispatched row; re-raise its error like a direct call."""
+        self._inflight.append(idx)
+        self._set_inflight_gauge()
+        error = self._log.error_of(idx)
+        if error is not None:
+            raise error
 
     def _dispatch(self, request: IORequest, at_us: float | None,
                   merged: int = 1,
                   member_deadlines: list | None = None) -> int:
-        idx = self._dispatch_inner(request, at_us, merged=merged,
-                                   member_deadlines=member_deadlines)
-        error = self._log.error_of(idx)
-        if error is not None:
-            raise error
+        """Run one request object through the kernel; returns its row.
+
+        The row is logged but not windowed: ``submit`` posts it to the
+        in-flight window, ``execute`` consumes it at once.
+        """
+        arrival = self._admit(self._arrival(at_us))
+        request.submit_us = arrival
+        ctx = request.trace if self._reqtrace is not None else None
+        mdisk = request.mdisk_id
+        result, error, service, work, busy = self._serve(
+            OP_CODES[request.op], request.lba, request.count,
+            request.payloads, -1 if mdisk is None else mdisk,
+            request.stream, ctx)
+        start, end = self._complete(
+            request.op, arrival, service, work, error, request.deadline_us,
+            request.stream, at_us is None, member_deadlines)
+        log = self._log
+        idx = log.append(request, result, error, arrival, start, end,
+                         work, merged)
+        if ctx is not None:
+            request.trace = None  # consumed; records outlive contexts
+            self._reqtrace.finish(ctx, log.materialise(idx),
+                                  self.device_kind, busy + work)
         return idx
 
-    def _dispatch_inner(self, request: IORequest, at_us: float | None,
-                        merged: int = 1,
-                        member_deadlines: list | None = None) -> int:
-        closed_loop = at_us is None
-        arrival = self._arrival(at_us)
-        log = self._log
-        # NCQ backpressure: a full window blocks the host until the
-        # oldest in-flight completion frees a slot.
-        while len(self._inflight) >= self.depth:
-            oldest = self._inflight.popleft()
-            arrival = max(arrival, log.end_us(oldest))
-            self._done.append(oldest)
-        server = min(range(self.channels),
-                     key=self._channel_free.__getitem__)
-        start = max(arrival, self._channel_free[server])
-        request.submit_us = arrival
+    def _serve(self, op: int, lba: int, count: int, payloads, mdisk: int,
+               stream: int, ctx) -> tuple:
+        """Call the device for one request and measure the call.
+
+        ``mdisk < 0`` addresses a flat device. Device errors are caught
+        and returned, never raised. Returns ``(result, error, service,
+        work, busy_before)``: *work* is the chip busy time the call
+        added (summed across channels), *service* the largest per-channel
+        increment (multi-channel parallelism inside one request shortens
+        its service), *busy_before* the chip busy ledger before the call.
+        A sampled request's trace context is active for the call.
+        """
+        device = self.device
         chip = self._chip
         busy_before = 0.0
         if chip is not None:
             busy_before = chip.stats.busy_us
             chan_before = list(chip.channel_busy_us)
-        rt = self._reqtrace
-        ctx = request.trace if rt is not None else None
         if ctx is not None:
             ctx.activate(busy_before)
-            rt.active = ctx
-        error: Exception | None = None
-        result: list[bytes] | None = None
+            self._reqtrace.active = ctx
+        result = error = None
         try:
-            result = self._call_device(request)
-        except Exception as exc:  # noqa: BLE001 - recorded, then re-raised
+            if op == OP_READ:
+                result = ([device.read(lba)] if mdisk < 0
+                          else [device.read(mdisk, lba)])
+            elif op == OP_WRITE:
+                if mdisk >= 0:
+                    for off, data in enumerate(payloads):
+                        device.write(mdisk, lba + off, data)
+                elif stream:
+                    for off, data in enumerate(payloads):
+                        device.write(lba + off, data, stream=stream)
+                else:
+                    # Exactly the plain per-LBA call shape (devices like
+                    # BaselineSSD take no stream argument).
+                    for off, data in enumerate(payloads):
+                        device.write(lba + off, data)
+            elif op == OP_READ_RANGE:
+                result = (device.read_range(lba, count) if mdisk < 0
+                          else device.read_range(mdisk, lba, count))
+            elif op == OP_TRIM:
+                if mdisk < 0:
+                    device.trim(lba)
+                else:
+                    device.trim(mdisk, lba)
+            elif op == OP_TRIM_RANGE:
+                if mdisk < 0:
+                    device.trim_range(lba, count)
+                else:
+                    for off in range(count):
+                        device.trim(mdisk, lba + off)
+            elif op == OP_FLUSH:
+                device.flush()
+            else:  # pragma: no cover - validation rejects these
+                raise ConfigError(f"unhandled op code {op!r}")
+        except Exception as exc:  # noqa: BLE001 - recorded per request
             error = exc
         if ctx is not None:
-            rt.active = None
-        if chip is not None:
-            work = chip.stats.busy_us - busy_before
-            chan_after = chip.channel_busy_us
-            service = max(
-                (chan_after[i] - chan_before[i]
-                 for i in range(len(chan_before))), default=0.0)
-        else:
-            work = service = 0.0
+            self._reqtrace.active = None
+        if chip is None:
+            return result, error, 0.0, 0.0, busy_before
+        chan_after = chip.channel_busy_us
+        service = max((chan_after[c] - chan_before[c]
+                       for c in range(len(chan_before))), default=0.0)
+        return (result, error, service, chip.stats.busy_us - busy_before,
+                busy_before)
+
+    def _complete(self, op: str, arrival: float, service: float,
+                  work: float, error: Exception | None,
+                  deadline: float | None, stream: int,
+                  closed_loop: bool = True,
+                  member_deadlines: list | None = None) -> tuple:
+        """Place one served request and account it; returns
+        ``(start, end)``.
+
+        The request takes the earliest-free channel server; its wait is
+        however long that server was still busy. A ``nan`` deadline, like
+        ``None``, means none. Deadline accounting is per *member*: a
+        coalesced dispatch (``member_deadlines`` set) that finishes late
+        counts one miss per absorbed request whose own deadline it blew.
+        """
+        channel_free = self._channel_free
+        server = min(self._servers, key=channel_free.__getitem__)
+        start = max(arrival, channel_free[server])
         end = start + service
-        self._channel_free[server] = end
+        channel_free[server] = end
         # Closed-loop callers block on the completion, so the device
         # clock advances with it (hence their next arrival never finds
         # the server busy: waits are zero by construction). Open-loop
         # callers own time via ``at_us``; the clock only tracks the
         # latest arrival so a late stamp cannot run it backwards.
-        self.clock_us = max(self.clock_us, end if closed_loop else arrival)
-        idx = log.append(request, result, error, arrival, start, end,
-                         work, merged)
-        if ctx is not None:
-            request.trace = None  # consumed; records outlive contexts
-            rt.finish(ctx, log.materialise(idx), self.device_kind,
-                      busy_before + work)
-        self._record(request, error, arrival, start, end, work,
-                     member_deadlines)
-        self._inflight.append(idx)
-        self._set_inflight_gauge()
-        return idx
-
-    def _call_device(self, request: IORequest) -> list[bytes] | None:
-        device = self.device
-        op = request.op
-        mdisk = request.mdisk_id
-        if op == "read":
-            if mdisk is None:
-                return [device.read(request.lba)]
-            return [device.read(mdisk, request.lba)]
-        if op == "read_range":
-            if mdisk is None:
-                return device.read_range(request.lba, request.count)
-            return device.read_range(mdisk, request.lba, request.count)
-        if op == "write":
-            base = request.lba
-            if mdisk is None:
-                stream = request.stream
-                if stream:
-                    for offset, payload in enumerate(request.payloads):
-                        device.write(base + offset, payload, stream=stream)
-                else:
-                    # Exactly the legacy per-LBA call shape (devices
-                    # like BaselineSSD take no stream argument).
-                    for offset, payload in enumerate(request.payloads):
-                        device.write(base + offset, payload)
-            else:
-                for offset, payload in enumerate(request.payloads):
-                    device.write(mdisk, base + offset, payload)
-            return None
-        if op == "trim":
-            if mdisk is None:
-                device.trim(request.lba)
-            else:
-                device.trim(mdisk, request.lba)
-            return None
-        if op == "trim_range":
-            if mdisk is None:
-                device.trim_range(request.lba, request.count)
-            else:
-                for offset in range(request.count):
-                    device.trim(mdisk, request.lba + offset)
-            return None
-        if op == "flush":
-            device.flush()
-            return None
-        raise ConfigError(f"unhandled op {op!r}")  # pragma: no cover
-
-    def _record(self, request: IORequest, error: Exception | None,
-                submit: float, start: float, end: float, work: float,
-                member_deadlines: list | None = None) -> None:
+        now = end if closed_loop else arrival
+        if now > self.clock_us:
+            self.clock_us = now
         stats = self.stats
         stats.dispatched += 1
-        latency = end - submit
-        wait = start - submit
+        latency = end - arrival
+        wait = start - arrival
         stats.total_latency_us += latency
         stats.total_wait_us += wait
         stats.total_service_us += end - start
         stats.total_work_us += work
         if self.keep_latencies:
             stats.latencies_us.append(latency)
-        op = request.op
-        self._latency_child(op).observe(latency)
-        self._wait_child(op).observe(wait)
-        self._request_child(op).inc()
+        kids = self._op_children.get(op) or self._bind_op(op)
+        kids[0](latency)
+        kids[1](wait)
+        kids[2]()
         if error is not None:
             stats.errors += 1
             self._instr.errors.inc()
-        # Deadline accounting is per *member*: a coalesced dispatch
-        # that finishes late counts one miss per absorbed request whose
-        # own deadline it blew, not one per dispatch.
         if member_deadlines is None:
-            member_deadlines = (request.deadline_us,)
-        misses = 0
-        for deadline in member_deadlines:
-            if deadline is not None and end > deadline:
-                misses += 1
+            misses = 1 if deadline is not None and end > deadline else 0
+        else:
+            misses = sum(1 for d in member_deadlines
+                         if d is not None and end > d)
         if misses:
             stats.deadline_misses += misses
             self._instr.deadline_misses.inc(misses)
         if self._slo is not None:
             self._slo.observe(
-                end_us=end, latency_us=latency,
-                op=op, stream=request.stream,
-                device_kind=self.device_kind,
-                deadline_missed=misses > 0)
+                end_us=end, latency_us=latency, op=op, stream=stream,
+                device_kind=self.device_kind, deadline_missed=misses > 0)
+        return start, end
 
-    def _latency_child(self, op: str):
-        child = self._latency_children.get(op)
-        if child is None:
-            child = self._instr.latency.labels(
-                op=op, device_kind=self.device_kind)
-            self._latency_children[op] = child
-        return child
-
-    def _wait_child(self, op: str):
-        child = self._wait_children.get(op)
-        if child is None:
-            child = self._instr.wait.labels(
-                op=op, device_kind=self.device_kind)
-            self._wait_children[op] = child
-        return child
-
-    def _request_child(self, op: str):
-        child = self._request_children.get(op)
-        if child is None:
-            child = self._instr.requests.labels(
-                op=op, device_kind=self.device_kind)
-            self._request_children[op] = child
-        return child
+    def _bind_op(self, op: str) -> tuple:
+        instr = self._instr
+        kind = self.device_kind
+        kids = (instr.latency.labels(op=op, device_kind=kind).observe,
+                instr.wait.labels(op=op, device_kind=kind).observe,
+                instr.requests.labels(op=op, device_kind=kind).inc)
+        self._op_children[op] = kids
+        return kids
 
     def _set_inflight_gauge(self) -> None:
         self._instr.inflight.set(len(self._inflight))
@@ -823,3 +682,16 @@ class DeviceQueue:
     def makespan_us(self) -> float:
         """When the busiest channel server goes idle (virtual time)."""
         return max(self._channel_free)
+
+
+def _publish_miss_ratio(instr) -> None:
+    """Refresh ``repro_io_deadline_miss_ratio`` for one device kind.
+
+    Derived from the kind's shared counters, so it covers every queue
+    of that kind (one collect hook per kind, not per queue).
+    """
+    kind = instr.device_kind
+    dispatched = sum(sample["value"] for sample in instr.requests.samples()
+                     if sample["labels"]["device_kind"] == kind)
+    instr.deadline_miss_ratio.set(
+        instr.deadline_misses.value / dispatched if dispatched else 0.0)

@@ -341,7 +341,7 @@ class DiFSInstruments:
     chunks_lost: Any
     chunk_reads: Any
     chunks_created: Any
-    queue_depth: Any           # family; labels (kind,)
+    recovery_pending: Any      # family; labels (kind,)
     degraded_dwell: Any        # family; labels (kind,)
     live_volumes: Any
 
@@ -369,7 +369,7 @@ def difs_instruments() -> DiFSInstruments:
         chunks_created=m.counter(
             "repro_difs_chunks_created_total",
             help="Chunks written with full redundancy", unit="chunks"),
-        queue_depth=m.gauge(
+        recovery_pending=m.gauge(
             "repro_difs_recovery_queue_depth",
             help="Pending re-replication work items",
             unit="items", labelnames=("kind",)),

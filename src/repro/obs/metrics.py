@@ -36,7 +36,7 @@ import math
 import re
 from bisect import bisect_left
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from repro.errors import ConfigError
 
@@ -339,6 +339,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
         self._collect_hooks: list[Callable[[], None]] = []
+        self._hook_keys: set = set()
 
     # -- registration ------------------------------------------------------
 
@@ -375,8 +376,17 @@ class MetricsRegistry:
         return self._register("histogram", name, help, unit, labelnames,
                               buckets=buckets or DEFAULT_BUCKETS)
 
-    def add_collect_hook(self, hook: Callable[[], None]) -> None:
-        """Run ``hook`` before every export (refresh lazy gauges)."""
+    def add_collect_hook(self, hook: Callable[[], None],
+                         key: Hashable | None = None) -> None:
+        """Run ``hook`` before every export (refresh lazy gauges).
+
+        A keyed hook registers once: later hooks under the same ``key``
+        are dropped, so many instances can share one refresher.
+        """
+        if key is not None:
+            if key in self._hook_keys:
+                return
+            self._hook_keys.add(key)
         self._collect_hooks.append(hook)
 
     # -- introspection -----------------------------------------------------

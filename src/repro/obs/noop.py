@@ -71,7 +71,7 @@ class NullMetricsRegistry:
                   buckets=None):
         return NULL_FAMILY
 
-    def add_collect_hook(self, hook) -> None:
+    def add_collect_hook(self, hook, key=None) -> None:
         pass
 
     def collect(self) -> None:

@@ -1,9 +1,22 @@
 """Unit tests for the cluster namespace and client paths."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.errors import ChunkLostError, ConfigError
 from repro.difs.cluster import Cluster, ClusterConfig
+from repro.flash.chip import FlashChip
+from repro.flash.geometry import FlashGeometry
+from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
+from repro.ssd.device import BaselineSSD, SSDConfig
+from repro.ssd.ftl import FTLConfig
+
+#: SHA-256 of :func:`_run_cluster`'s JSON. Recorded when the cluster
+#: also had direct and batched IO paths; every path produced it.
+GOLDEN_RUN_SHA256 = (
+    "55381810554a3c900a913f8ca2b9c97946a17ef99e6f6103a3b2b9eee4e57489")
 
 
 @pytest.fixture
@@ -104,3 +117,41 @@ class TestFailureDetection:
         assert report["nodes"] == 3
         assert report["chunks"] == 1
         assert report["live_volumes"] == report["volumes"]
+
+
+def _run_cluster() -> str:
+    """Build, write, update, delete, audit; dump everything observable.
+
+    The same fixture as the CI ``io_batch_direct.json`` check.
+    """
+    geometry = FlashGeometry(blocks=16, fpages_per_block=8)
+    policy = TirednessPolicy(geometry=geometry)
+    model = calibrate_power_law(policy, pec_limit_l0=60)
+    cluster = Cluster(ClusterConfig(replication=2, chunk_lbas=4), seed=29)
+    for index in range(3):
+        cluster.add_node(f"n{index}")
+        cluster.add_device(f"n{index}", BaselineSSD(
+            FlashChip(geometry, rber_model=model, policy=policy,
+                      seed=index + 1, variation_sigma=0.3),
+            SSDConfig(ftl=FTLConfig(overprovision=0.25, buffer_opages=8,
+                                    gc_reserve_blocks=2))))
+    for index in range(12):
+        cluster.create_chunk(f"c{index}", f"chunk-{index}".encode() * 3)
+    for index in range(0, 12, 2):
+        cluster.update_chunk(f"c{index}", f"update-{index}".encode() * 2)
+    cluster.delete_chunk("c11")
+    cluster.audit()
+    return json.dumps({
+        "chunks": {cid: hashlib.sha256(
+                       cluster.read_chunk(cid)).hexdigest()
+                   for cid in sorted(cluster.namespace)},
+        "namespace": cluster.namespace_snapshot(),
+        "wear": cluster.wear_stats(),
+        "cluster_rng": str(cluster.rng.bit_generator.state),
+    }, indent=1, sort_keys=True, default=str)
+
+
+class TestDeterminism:
+    def test_run_matches_golden_digest(self):
+        digest = hashlib.sha256(_run_cluster().encode()).hexdigest()
+        assert digest == GOLDEN_RUN_SHA256

@@ -179,9 +179,10 @@ class TestExecuteVectorEquivalence:
 
         assert causes(batched=False) == causes(batched=True)
 
-    def test_vector_scalar_fallback_with_reqtrace(self, make_baseline):
-        """With a reqtrace sampler installed the vector path must take
-        the fully-traced scalar route and still match."""
+    def test_per_member_trace_records_match(self, make_baseline):
+        """With a reqtrace sampler installed, every sampled member of a
+        vector gets its own trace record, identical to the record the
+        scalar loop emits for the same request."""
         from repro.obs import reqtrace
 
         ops = mixed_ops(16, 200, seed=9)
@@ -200,12 +201,12 @@ class TestExecuteVectorEquivalence:
                 else:
                     run_scalar(queue, ops)
                 return (queue_state(queue), chip_state(device.chip),
-                        tracer.sampled)
+                        tracer.sampled, list(tracer.records))
 
         scalar_state = run(batched=False)
         vector_state = run(batched=True)
         assert scalar_state == vector_state
-        assert vector_state[2] > 0, "sampler must actually sample"
+        assert vector_state[2] == len(vector_state[3]) == 25
 
 
 class TestWorkloadVectorEquivalence:

@@ -1,23 +1,27 @@
-"""Cluster-level differential: queued pipeline vs legacy direct path.
+"""Cluster data-path spec: every chunk IO goes through the device queues.
 
-Two clusters with identical seeds and devices run the same workload —
-one through the default queued IO pipeline (``queue_depth=8``), one
-through the legacy direct device calls (``queue_depth=0``). Everything
-observable must be bit-identical: chunk bytes, placement, every chip's
-RNG state, wear counters, and the FTL fast-path invariants. The only
-difference the queue is allowed to make is that latencies get measured.
+A fixed workload over a mixed cluster (baseline, CVSS and two
+Salamander devices) must leave exactly the recorded state: chunk bytes,
+placement, the cluster's RNG state, and every chip's RNG state and
+wear, all folded into one SHA-256. The golden digest was recorded when
+the cluster still had a direct device-call path and a batched staging
+path next to the queued one; all three produced it, so it pins that the
+queue changes nothing but adding measured latencies.
 """
+
+import hashlib
+import json
 
 import pytest
 
 from repro.difs.cluster import Cluster, ClusterConfig
 
+GOLDEN_STATE_SHA256 = (
+    "dc97c57eeeac71046df37f152183f534b579ed68c2721fa93543b3e8d2d59cd6")
 
-def build_cluster(make_baseline, make_cvss, make_salamander,
-                  queue_depth: int, **config_kwargs) -> Cluster:
-    config = ClusterConfig(replication=2, chunk_lbas=4,
-                           queue_depth=queue_depth, **config_kwargs)
-    cluster = Cluster(config, seed=29)
+
+def build_cluster(make_baseline, make_cvss, make_salamander) -> Cluster:
+    cluster = Cluster(ClusterConfig(replication=2, chunk_lbas=4), seed=29)
     cluster.add_node("n0")
     cluster.add_device("n0", make_baseline(seed=1))
     cluster.add_node("n1")
@@ -45,15 +49,6 @@ def run_workload(cluster: Cluster) -> dict[str, bytes]:
             for cid in sorted(cluster.namespace)}
 
 
-@pytest.fixture
-def clusters(make_baseline, make_cvss, make_salamander):
-    queued = build_cluster(make_baseline, make_cvss, make_salamander,
-                           queue_depth=8)
-    direct = build_cluster(make_baseline, make_cvss, make_salamander,
-                           queue_depth=0)
-    return queued, direct
-
-
 def devices_of(cluster: Cluster):
     seen, out = set(), []
     for node in cluster.nodes.values():
@@ -64,83 +59,39 @@ def devices_of(cluster: Cluster):
     return out
 
 
+def state_digest(cluster: Cluster, data: dict[str, bytes]) -> str:
+    """SHA-256 over chunk bytes, placement, and cluster/chip RNG + wear."""
+    state = {
+        "chunks": {cid: hashlib.sha256(blob).hexdigest()
+                   for cid, blob in data.items()},
+        "placement": {cid: [(r.volume_id, r.slot, r.index)
+                            for r in chunk.replicas]
+                      for cid, chunk in sorted(cluster.namespace.items())},
+        "cluster_rng": cluster.rng.bit_generator.state,
+        "devices": [{"chip_rng": device.chip.rng.bit_generator.state,
+                     "wear": device.chip.wear_summary()}
+                    for device in devices_of(cluster)],
+    }
+    return hashlib.sha256(json.dumps(
+        state, sort_keys=True, default=str).encode()).hexdigest()
+
+
+@pytest.fixture
+def cluster(make_baseline, make_cvss, make_salamander):
+    return build_cluster(make_baseline, make_cvss, make_salamander)
+
+
 class TestDifferential:
-    def test_zero_data_path_divergence(self, clusters):
-        queued, direct = clusters
-        queued_data = run_workload(queued)
-        direct_data = run_workload(direct)
-        # Byte-identical chunk contents.
-        assert queued_data == direct_data
-        # Identical placement decisions (cluster RNG in lockstep).
-        assert (queued.rng.bit_generator.state
-                == direct.rng.bit_generator.state)
-        for chunk_id in queued.namespace:
-            q_replicas = [(r.volume_id, r.slot, r.index)
-                          for r in queued.namespace[chunk_id].replicas]
-            d_replicas = [(r.volume_id, r.slot, r.index)
-                          for r in direct.namespace[chunk_id].replicas]
-            assert q_replicas == d_replicas
-        # Every chip took exactly the same RNG draws and wear.
-        for q_dev, d_dev in zip(devices_of(queued), devices_of(direct)):
-            assert (q_dev.chip.rng.bit_generator.state
-                    == d_dev.chip.rng.bit_generator.state)
-            assert q_dev.chip.wear_summary() == d_dev.chip.wear_summary()
-            q_dev._audit_fastpath()
-            d_dev._audit_fastpath()
+    def test_zero_data_path_divergence(self, cluster):
+        data = run_workload(cluster)
+        assert state_digest(cluster, data) == GOLDEN_STATE_SHA256
+        for device in devices_of(cluster):
+            device._audit_fastpath()
+        assert cluster.io_stats()["errors"] == 0
 
-    @pytest.mark.parametrize("window", [1, 3, 64])
-    def test_batch_submission_matches_direct(
-            self, make_baseline, make_cvss, make_salamander, window):
-        """io_batch_chunks staging keeps the full bit-identity contract.
-
-        The staged path defers chunk writes into one execute_vector call
-        per queue; per-device op order is unchanged, so chunk bytes,
-        placement, chip RNG state, and wear must all match the direct
-        path for any batching window.
-        """
-        batched = build_cluster(make_baseline, make_cvss, make_salamander,
-                                queue_depth=8, io_batch_chunks=window)
-        direct = build_cluster(make_baseline, make_cvss, make_salamander,
-                               queue_depth=0)
-        batched_data = run_workload(batched)
-        direct_data = run_workload(direct)
-        assert batched_data == direct_data
-        assert (batched.rng.bit_generator.state
-                == direct.rng.bit_generator.state)
-        for chunk_id in batched.namespace:
-            assert ([(r.volume_id, r.slot, r.index)
-                     for r in batched.namespace[chunk_id].replicas]
-                    == [(r.volume_id, r.slot, r.index)
-                        for r in direct.namespace[chunk_id].replicas])
-        for b_dev, d_dev in zip(devices_of(batched), devices_of(direct)):
-            assert (b_dev.chip.rng.bit_generator.state
-                    == d_dev.chip.rng.bit_generator.state)
-            assert b_dev.chip.wear_summary() == d_dev.chip.wear_summary()
-            b_dev._audit_fastpath()
-        assert batched.io_stats()["errors"] == 0
-
-    def test_batch_submission_flushes_before_stats_and_snapshot(
-            self, make_baseline, make_cvss, make_salamander):
-        cluster = build_cluster(make_baseline, make_cvss, make_salamander,
-                                queue_depth=8, io_batch_chunks=1000)
-        cluster.create_chunk("c0", b"payload")
-        # The write is staged, not dispatched; any stats/metadata read
-        # must flush it first so nothing observable goes missing.
-        assert cluster._ticker.staged
+    def test_queued_path_is_default_and_measures(self, cluster):
+        run_workload(cluster)
         stats = cluster.io_stats()
-        assert not cluster._ticker.staged
-        assert stats["dispatched"] > 0
-        cluster.create_chunk("c1", b"payload")
-        snapshot = cluster.namespace_snapshot()
-        assert not cluster._ticker.staged
-        assert len(snapshot["chunks"]) == 2
-
-    def test_queued_path_is_default_and_measures(self, clusters):
-        queued, direct = clusters
-        assert all(v.queue is not None for v in queued.volumes.values())
-        assert all(v.queue is None for v in direct.volumes.values())
-        run_workload(queued)
-        stats = queued.io_stats()
         assert stats["queues"] == 4
         assert stats["dispatched"] > 0
         assert stats["errors"] == 0
@@ -152,13 +103,13 @@ class TestDifferential:
         # Deadline accounting aggregates (none set here: zero misses).
         assert stats["deadline_misses"] == 0
         assert stats["deadline_miss_ratio"] == 0.0
-        assert queued.report()["io_mean_latency_us"] == pytest.approx(
+        assert cluster.report()["io_mean_latency_us"] == pytest.approx(
             stats["mean_latency_us"])
 
-    def test_minidisk_volumes_share_their_device_queue(self, clusters):
-        queued, _ = clusters
+    def test_minidisk_volumes_share_their_device_queue(self, cluster):
         by_device = {}
-        for volume in queued.volumes.values():
+        for volume in cluster.volumes.values():
+            assert volume.queue is volume.device.io_queue
             by_device.setdefault(id(volume.device), set()).add(
                 id(volume.queue))
         for queue_ids in by_device.values():
@@ -166,8 +117,8 @@ class TestDifferential:
 
     def test_regenerated_minidisk_joins_device_queue(
             self, make_salamander):
-        cluster = Cluster(ClusterConfig(replication=2, chunk_lbas=4,
-                                        queue_depth=8), seed=5)
+        cluster = Cluster(ClusterConfig(replication=2, chunk_lbas=4),
+                          seed=5)
         cluster.add_node("n0")
         device = make_salamander(mode="regen", seed=6)
         cluster.add_device("n0", device)

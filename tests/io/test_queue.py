@@ -261,6 +261,28 @@ class TestDeadlines:
             families = {m["name"]: m for m in doc["metrics"]}
             sample = families["repro_io_deadline_miss_ratio"]["samples"][0]
             assert sample["value"] == pytest.approx(0.5)
+            # Every queue of one kind feeds one gauge: a queue that
+            # misses 8 of 8 and one that meets 8 of 8 publish 0.5, not
+            # whichever queue registered last.
+            late, on_time = (DeviceQueue(device, device_kind="ftl")
+                             for _ in range(2))
+            for lba in range(8):
+                late.execute(IORequest(op="read", lba=lba,
+                                       deadline_us=0.0), at_us=100.0)
+                on_time.execute(IORequest(op="read", lba=lba,
+                                          deadline_us=1e12))
+            doc = obs.metrics().to_dict()
+            values = {
+                (m["name"], tuple(sorted(s["labels"].items()))): s["value"]
+                for m in doc["metrics"] for s in m.get("samples", ())
+                if "value" in s}
+            kind = (("device_kind", "ftl"),)
+            assert values[("repro_io_deadline_misses_total", kind)] == 8
+            assert sum(v for (name, labels), v in values.items()
+                       if name == "repro_io_requests_total"
+                       and ("device_kind", "ftl") in labels) == 16
+            assert values[("repro_io_deadline_miss_ratio", kind)] \
+                == pytest.approx(0.5)
         finally:
             obs.disable()
 
