@@ -26,6 +26,7 @@ import sys
 from typing import Sequence
 
 from repro import obs
+from repro.artifacts import write_json, write_text
 from repro.errors import ConfigError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
@@ -162,6 +163,18 @@ def _evaluate_by_device(records: list, objectives: list) -> dict:
             "objective_count": len(rows), "ok": ok, "objectives": rows}
 
 
+def _write_probe_reqtrace(path, records: list, results: list, seed: int,
+                          every: int, modes: Sequence[str]) -> None:
+    """Write merged IO-probe requests as a reqtrace artifact."""
+    from repro.obs.reqtrace import write_reqtrace
+
+    path = write_reqtrace(path, records, meta={
+        "seed": seed, "every": every, "modes": list(modes),
+        "sampled": sum(r["meta"]["sampled"] for r in results),
+        "dropped": sum(r["meta"]["dropped"] for r in results)})
+    print(f"reqtrace -> {path}")
+
+
 def _run_probe_sidecar(args: argparse.Namespace,
                        modes: Sequence[str] | None = None) -> None:
     """Serve ``--reqtrace-out`` / ``--slo`` / ``--endurance-out``.
@@ -186,7 +199,6 @@ def _run_probe_sidecar(args: argparse.Namespace,
         merged_records,
         run_probes,
     )
-    from repro.obs import reqtrace as reqtrace_mod
     from repro.obs import slo as slo_mod
 
     seed = int(getattr(args, "seed", DEFAULT_SEED))
@@ -196,13 +208,8 @@ def _run_probe_sidecar(args: argparse.Namespace,
     results = run_probes(probe_modes, seed=seed, config=config)
     records = merged_records(results)
     if args.reqtrace_out:
-        path = reqtrace_mod.write_reqtrace(
-            args.reqtrace_out, records,
-            meta={"seed": seed, "every": config.every,
-                  "modes": list(probe_modes),
-                  "sampled": sum(r["meta"]["sampled"] for r in results),
-                  "dropped": sum(r["meta"]["dropped"] for r in results)})
-        print(f"reqtrace -> {path}")
+        _write_probe_reqtrace(args.reqtrace_out, records, results, seed,
+                              config.every, probe_modes)
     if getattr(args, "endurance_out", None):
         from repro.obs import endurance as endurance_mod
 
@@ -506,8 +513,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_traffic(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.obs import slo as slo_mod
     from repro.sim.parallel import resolve_jobs
     from repro.workloads.engine import (
@@ -516,14 +521,10 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
         run_traffic,
         write_engine_artifact,
     )
+    from repro.workloads.traces import Trace
 
     registry, tracer, sampler = _setup_observability(args)
-    trace_text = None
-    if args.trace:
-        trace_path = Path(args.trace)
-        if not trace_path.exists():
-            raise ConfigError(f"trace file not found: {trace_path}")
-        trace_text = trace_path.read_text()
+    trace_text = Trace.load(args.trace).dumps() if args.trace else None
     objectives = (slo_mod.load_slo_config(args.slo)
                   if args.slo else None)
     config = EngineConfig(
@@ -578,11 +579,8 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from repro.obs.analyze import load_trace_jsonl
-    from repro.obs.metrics import validate_metrics_document
+    from repro.obs.metrics import load_metrics
     from repro.obs.timeseries import load_timeseries
     from repro.reporting.claims import (
         build_report,
@@ -591,18 +589,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     from repro.reporting.export import load_experiment
 
-    metrics_doc = None
-    if args.metrics:
-        path = Path(args.metrics)
-        if not path.exists():
-            raise ConfigError(f"metrics artifact not found: {path}")
-        try:
-            metrics_doc = json.loads(path.read_text())
-        except json.JSONDecodeError as error:
-            raise ConfigError(
-                f"metrics artifact {path} is not valid JSON: "
-                f"{error}") from error
-        validate_metrics_document(metrics_doc)
+    metrics_doc = load_metrics(args.metrics) if args.metrics else None
     timeseries_doc = (load_timeseries(args.timeseries)
                       if args.timeseries else None)
     trace_records = (load_trace_jsonl(args.trace)
@@ -626,15 +613,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     markdown = format_report(report)
     if args.markdown:
-        path = Path(args.markdown)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(markdown + "\n")
+        path = write_text(args.markdown, markdown + "\n")
         print(f"report (markdown) -> {path}")
     if args.json:
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report, indent=2, sort_keys=True,
-                                   allow_nan=False))
+        path = write_json(args.json, report)
         print(f"report (json) -> {path}")
     if not args.markdown and not args.json:
         print(markdown)
@@ -646,9 +628,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from repro.obs import reqtrace as reqtrace_mod
     from repro.obs import slo as slo_mod
     from repro.obs.analyze import analyze_trace, format_trace_summary
@@ -678,21 +657,11 @@ def _cmd_slo(args: argparse.Namespace) -> int:
                              jobs=resolve_jobs(args.jobs))
         records = merged_records(results)
         if args.reqtrace_out:
-            path = reqtrace_mod.write_reqtrace(
-                args.reqtrace_out, records,
-                meta={"seed": args.seed, "every": config.every,
-                      "modes": list(modes),
-                      "sampled": sum(r["meta"]["sampled"]
-                                     for r in results),
-                      "dropped": sum(r["meta"]["dropped"]
-                                     for r in results)})
-            print(f"reqtrace -> {path}")
+            _write_probe_reqtrace(args.reqtrace_out, records, results,
+                                  args.seed, config.every, modes)
     report = _evaluate_by_device(records, objectives)
     if args.json:
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report, indent=2, sort_keys=True,
-                                   allow_nan=False))
+        path = write_json(args.json, report)
         print(f"slo report (json) -> {path}")
     print(slo_mod.format_slo_report(report))
     summary = analyze_trace(records)
@@ -707,9 +676,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 
 def _cmd_wear(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from repro.obs import endurance as endurance_mod
 
     header, records = endurance_mod.load_endurance(args.endurance)
@@ -821,10 +787,7 @@ def _cmd_wear(args: argparse.Namespace) -> int:
                     f"{record['name']}: WAF {waf:.3f} exceeds budget "
                     f"{args.waf_budget:g}")
     if args.json:
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(document, indent=2, sort_keys=True,
-                                   allow_nan=False))
+        path = write_json(args.json, document)
         print(f"wear document (json) -> {path}")
     if violations:
         for violation in violations:

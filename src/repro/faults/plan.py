@@ -20,11 +20,11 @@ randomised fuzz episodes are one-line reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from repro.artifacts import dumps, loads, read_json, write_json
 from repro.errors import ConfigError
 from repro.rng import fork_rng, make_rng
 
@@ -98,7 +98,7 @@ class FaultSpec:
     args: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.site not in SITES:
+        if not isinstance(self.site, str) or self.site not in SITES:
             known = ", ".join(sorted(SITES))
             raise ConfigError(
                 f"unknown injection site {self.site!r}; known sites: {known}")
@@ -221,30 +221,18 @@ class FaultPlan:
 
     def to_json(self) -> str:
         """Canonical one-plan JSON (stable bytes for identical plans)."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True,
-                          allow_nan=False) + "\n"
+        return dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ConfigError(
-                f"fault plan is not valid JSON: {error}") from error
-        return cls.from_dict(document)
+        return cls.from_dict(loads(text, "fault plan"))
 
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json())
-        return path
+        return write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "FaultPlan":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"fault plan not found: {path}")
-        return cls.from_json(path.read_text())
+        return cls.from_dict(read_json(path, "fault plan"))
 
     # -- generation ------------------------------------------------------
 

@@ -44,6 +44,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricFamily,
     MetricsRegistry,
+    load_metrics,
     quantile_from_cumulative,
     quantile_from_sample,
     validate_metrics_document,
@@ -209,6 +210,7 @@ __all__ = [
     "enable_timeseries",
     "enable_tracing",
     "enabled",
+    "load_metrics",
     "load_timeseries",
     "metrics",
     "metrics_enabled",

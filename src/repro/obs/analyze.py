@@ -15,10 +15,10 @@ histograms give — the trace has the raw samples, so use them.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from repro.artifacts import read_jsonl
 from repro.errors import ConfigError
 from repro.obs.trace import EventRecord, SpanRecord
 
@@ -32,26 +32,14 @@ def load_trace_jsonl(path: str | Path) -> list[dict]:
     Raises :class:`~repro.errors.ConfigError` on missing files or
     corrupt lines — ``repro report`` maps that to exit code 2.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"trace artifact not found: {path}")
-    records = []
-    for line_number, line in enumerate(path.read_text().splitlines(),
-                                       start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
+    records = read_jsonl(path, "trace artifact")
+    if not records:
+        raise ConfigError(f"trace artifact {path} is empty")
+    for number, record in enumerate(records, start=1):
+        if not {"kind", "name", "time"} <= record.keys():
             raise ConfigError(
-                f"trace artifact {path}:{line_number} is not valid "
-                f"JSON: {error}") from error
-        if not isinstance(record, dict) or "kind" not in record \
-                or "name" not in record or "time" not in record:
-            raise ConfigError(
-                f"trace artifact {path}:{line_number} is not a trace "
-                f"record: {line[:80]!r}")
-        records.append(record)
+                f"trace artifact {path}: record {number} is not a trace "
+                f"record: {str(record)[:80]!r}")
     return records
 
 

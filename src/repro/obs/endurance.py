@@ -46,11 +46,11 @@ registered device. See docs/OBSERVABILITY.md for the schema and the
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 
+from repro.artifacts import HeadedJsonl, require_fields
 from repro.errors import ConfigError
 
 #: Version tag on every endurance artifact header.
@@ -309,7 +309,7 @@ class EnduranceLedger:
         merged = {"devices": len(self.devices),
                   "snapshot_every": self.snapshot_every,
                   "causes": list(CAUSES), **(meta or {})}
-        return _header(meta=merged)
+        return ENDURANCE_JSONL.header(meta=merged)
 
     def export_jsonl(self, path: str | Path, meta: dict | None = None,
                      pec_limit: float | None = None) -> Path:
@@ -380,69 +380,10 @@ def installed(ledger_obj: EnduranceLedger | None = None,
 
 # -- artifact I/O ------------------------------------------------------------
 
-def _header(meta: dict | None = None) -> dict:
-    return {"kind": "header", "name": "endurance", "time": 0.0,
-            "schema": ENDURANCE_SCHEMA, "meta": meta or {}}
-
-
-def write_endurance(path: str | Path, records: list[dict],
-                    header: dict | None = None,
-                    meta: dict | None = None) -> Path:
-    """Write a ``repro.obs.endurance/v1`` JSONL artifact.
-
-    ``records`` are device dicts (from :meth:`EnduranceLedger.
-    device_records` or a merged multi-mode probe run); ``header``
-    overrides the default header (``meta`` feeds the default one).
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as handle:
-        handle.write(json.dumps(header or _header(meta), sort_keys=True))
-        handle.write("\n")
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
-    return path
-
-
-def load_endurance(path: str | Path) -> tuple[dict, list[dict]]:
-    """Read an endurance artifact; returns ``(header, device_records)``.
-
-    Raises :class:`~repro.errors.ConfigError` on missing files, corrupt
-    lines or a wrong schema tag — the CLI maps that to exit code 2.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"endurance artifact not found: {path}")
-    header: dict | None = None
-    records: list[dict] = []
-    for line_number, line in enumerate(path.read_text().splitlines(),
-                                       start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ConfigError(
-                f"endurance artifact {path}:{line_number} is not valid "
-                f"JSON: {error}") from error
-        if not isinstance(record, dict):
-            raise ConfigError(
-                f"endurance artifact {path}:{line_number} is not a JSON "
-                f"object")
-        kind = record.get("kind")
-        if kind == "header":
-            if record.get("schema") != ENDURANCE_SCHEMA:
-                raise ConfigError(
-                    f"unsupported endurance schema in {path}: "
-                    f"{record.get('schema')!r}")
-            header = record
-        elif kind == "device":
-            records.append(record)
-    if header is None:
-        raise ConfigError(
-            f"endurance artifact {path} has no {ENDURANCE_SCHEMA} header")
-    return header, records
+#: The ``repro.obs.endurance/v1`` JSONL form: a header, then devices.
+ENDURANCE_JSONL = HeadedJsonl("endurance", ENDURANCE_SCHEMA, "device")
+write_endurance = ENDURANCE_JSONL.write
+load_endurance = ENDURANCE_JSONL.load
 
 
 def validate_endurance_records(records: list[dict],
@@ -454,14 +395,16 @@ def validate_endurance_records(records: list[dict],
     equal ``1 + overhead/host`` within ``tolerance``. The CI smoke job
     runs this over CLI-produced artifacts.
     """
-    required = ("name", "blocks", "programs", "program_opages", "erases",
-                "total_programs", "total_program_opages", "total_erases",
-                "mean_pec", "max_pec", "pec_histogram", "waf")
+    fields = {"name": object, "blocks": int, "programs": dict,
+              "program_opages": dict, "erases": dict, "total_programs": int,
+              "total_program_opages": int, "total_erases": int,
+              "mean_pec": (int, float), "max_pec": int,
+              "pec_histogram": dict, "waf": (int, float, type(None))}
     for index, record in enumerate(records):
-        for key in required:
-            if key not in record:
-                raise ConfigError(
-                    f"endurance record {index} missing {key!r}")
+        require_fields(record, f"endurance record {index}", fields)
+        histogram = record["pec_histogram"]
+        require_fields(histogram, f"endurance record {index} pec_histogram",
+                       dict.fromkeys(histogram, int))
         for counter, total_key in (("programs", "total_programs"),
                                    ("program_opages",
                                     "total_program_opages"),
@@ -471,12 +414,14 @@ def validate_endurance_records(records: list[dict],
                 raise ConfigError(
                     f"endurance record {index}: {counter} causes "
                     f"{sorted(by_cause)} != {sorted(_CAUSE_SET)}")
+            require_fields(by_cause, f"endurance record {index} {counter}",
+                           dict.fromkeys(CAUSES, int))
             total = sum(by_cause.values())
             if total != record[total_key]:
                 raise ConfigError(
                     f"endurance record {index}: {counter} sum {total} "
                     f"!= {total_key} {record[total_key]}")
-        histogram_blocks = sum(record["pec_histogram"].values())
+        histogram_blocks = sum(histogram.values())
         if histogram_blocks != record["blocks"]:
             raise ConfigError(
                 f"endurance record {index}: pec_histogram covers "

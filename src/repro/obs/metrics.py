@@ -31,13 +31,13 @@ instrumentation costs ~nothing when observability is off.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from bisect import bisect_left
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
+from repro.artifacts import is_number, read_json, write_json
 from repro.errors import ConfigError
 
 #: Version tag stamped into every exported metrics document.
@@ -224,7 +224,7 @@ class MetricFamily:
                  labelnames: Sequence[str] = (),
                  buckets: Sequence[float] | None = None,
                  max_label_sets: int = 1024) -> None:
-        if kind not in _CHILD_TYPES:
+        if not isinstance(kind, str) or kind not in _CHILD_TYPES:
             raise ConfigError(f"unknown metric kind {kind!r}")
         if not _METRIC_NAME_RE.match(name):
             raise ConfigError(f"invalid metric name {name!r}")
@@ -432,11 +432,12 @@ class MetricsRegistry:
 
     def write_json(self, path: str | Path) -> Path:
         """Write the metrics document as JSON; returns the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2,
-                                   sort_keys=True))
-        return path
+        return write_json(path, self.to_dict())
+
+
+def load_metrics(path: str | Path) -> dict:
+    """Read and validate a ``repro.obs.metrics/v1`` JSON artifact."""
+    return validate_metrics_document(read_json(path, "metrics artifact"))
 
 
 def validate_metrics_document(document: object) -> dict:
@@ -469,7 +470,7 @@ def validate_metrics_document(document: object) -> dict:
             fail(f"duplicate metric {name!r}")
         seen.add(name)
         kind = entry.get("type")
-        if kind not in _CHILD_TYPES:
+        if not isinstance(kind, str) or kind not in _CHILD_TYPES:
             fail(f"{name}: bad type {kind!r}")
         if not isinstance(entry.get("help"), str):
             fail(f"{name}: 'help' must be a string")
@@ -499,7 +500,7 @@ def _validate_sample(name: str, kind: str, labelnames: list,
              f"labelnames {labelnames!r}")
     if kind == "histogram":
         if not isinstance(sample.get("count"), int) \
-                or not isinstance(sample.get("sum"), (int, float)):
+                or not is_number(sample.get("sum")):
             fail(f"{name}: histogram samples need integer 'count' and "
                  f"numeric 'sum'")
         buckets = sample.get("buckets")
@@ -523,7 +524,7 @@ def _validate_sample(name: str, kind: str, labelnames: list,
                 or buckets[-1].get("count") != sample["count"]:
             fail(f"{name}: last bucket must be '+Inf' with the total count")
     else:
-        if not isinstance(sample.get("value"), (int, float)):
+        if not is_number(sample.get("value")):
             fail(f"{name}: {kind} samples need a numeric 'value'")
 
 

@@ -45,11 +45,11 @@ contract.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 
+from repro.artifacts import HeadedJsonl, require_fields
 from repro.errors import ConfigError
 from repro.rng import fork_rng, make_rng
 
@@ -271,10 +271,10 @@ class ReqTracer:
     # -- export --------------------------------------------------------------
 
     def header(self, meta: dict | None = None) -> dict:
-        return _header(meta={"seed": self.seed, "every": self.every,
-                             "sampled": self.sampled,
-                             "dropped": self.dropped,
-                             **(meta or {})})
+        return REQTRACE_JSONL.header(meta={
+            "seed": self.seed, "every": self.every,
+            "sampled": self.sampled, "dropped": self.dropped,
+            **(meta or {})})
 
     def export_jsonl(self, path: str | Path,
                      meta: dict | None = None) -> Path:
@@ -343,70 +343,10 @@ def installed(tracer_or_seed: ReqTracer | int = 0,
 
 # -- artifact I/O ------------------------------------------------------------
 
-def _header(meta: dict | None = None) -> dict:
-    return {"kind": "header", "name": "reqtrace", "time": 0.0,
-            "schema": REQTRACE_SCHEMA, "meta": meta or {}}
-
-
-def write_reqtrace(path: str | Path, records: list[dict],
-                   header: dict | None = None,
-                   meta: dict | None = None) -> Path:
-    """Write a ``repro.obs.reqtrace/v1`` JSONL artifact.
-
-    ``records`` are request dicts (from :attr:`ReqTracer.records` or a
-    merged multi-mode probe run); ``header`` overrides the default
-    header (``meta`` feeds the default one).
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as handle:
-        handle.write(json.dumps(header or _header(meta), sort_keys=True))
-        handle.write("\n")
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
-    return path
-
-
-def load_reqtrace(path: str | Path) -> tuple[dict, list[dict]]:
-    """Read a reqtrace artifact; returns ``(header, request_records)``.
-
-    Raises :class:`~repro.errors.ConfigError` on missing files, corrupt
-    lines or a wrong schema tag — the CLI maps that to exit code 2.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"reqtrace artifact not found: {path}")
-    header: dict | None = None
-    records: list[dict] = []
-    for line_number, line in enumerate(path.read_text().splitlines(),
-                                       start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ConfigError(
-                f"reqtrace artifact {path}:{line_number} is not valid "
-                f"JSON: {error}") from error
-        if not isinstance(record, dict):
-            raise ConfigError(
-                f"reqtrace artifact {path}:{line_number} is not a JSON "
-                f"object")
-        kind = record.get("kind")
-        if kind == "header":
-            if record.get("schema") != REQTRACE_SCHEMA:
-                raise ConfigError(
-                    f"unsupported reqtrace schema in {path}: "
-                    f"{record.get('schema')!r}")
-            header = record
-        elif kind == "request":
-            records.append(record)
-        # other kinds (spans/events mixed into one file) are ignored
-    if header is None:
-        raise ConfigError(
-            f"reqtrace artifact {path} has no {REQTRACE_SCHEMA} header")
-    return header, records
+#: The ``repro.obs.reqtrace/v1`` JSONL form: a header, then requests.
+REQTRACE_JSONL = HeadedJsonl("reqtrace", REQTRACE_SCHEMA, "request")
+write_reqtrace = REQTRACE_JSONL.write
+load_reqtrace = REQTRACE_JSONL.load
 
 
 def validate_reqtrace_records(records: list[dict],
@@ -418,17 +358,18 @@ def validate_reqtrace_records(records: list[dict],
     ``service_us``) within ``tolerance``; the CI smoke job runs this
     over CLI-produced artifacts.
     """
-    required = ("op", "device_kind", "total_us", "wait_us", "service_us",
-                "segments", "attrs", "submit_us", "end_us")
+    number = (int, float)
+    fields = {"op": object, "device_kind": object, "total_us": number,
+              "wait_us": number, "service_us": number, "segments": dict,
+              "attrs": object, "submit_us": number, "end_us": number}
     for index, record in enumerate(records):
-        for key in required:
-            if key not in record:
-                raise ConfigError(
-                    f"reqtrace record {index} missing {key!r}")
+        require_fields(record, f"reqtrace record {index}", fields)
         segments = record["segments"]
-        if not isinstance(segments, dict) or not segments:
+        if not segments:
             raise ConfigError(
                 f"reqtrace record {index} has no segments")
+        require_fields(segments, f"reqtrace record {index} segments",
+                       dict.fromkeys(segments, number))
         total = float(record["total_us"])
         parts = sum(float(v) for v in segments.values())
         if abs(parts - total) > tolerance * max(1.0, abs(total)):

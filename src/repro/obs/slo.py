@@ -38,13 +38,13 @@ See docs/OBSERVABILITY.md for the config schema
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import obs
+from repro.artifacts import read_json
 from repro.errors import ConfigError
 from repro.obs.analyze import interpolated_percentile
 
@@ -132,34 +132,40 @@ class SLOObjective:
         return deadline_missed
 
 
+#: Config keys of one objective and the JSON types each accepts.
+_OBJECTIVE_TYPES = {
+    "name": str, "kind": str, "op": (str, type(None)),
+    "stream": (int, type(None)), "device_kind": (str, type(None)),
+    "percentile": (int, float), "threshold_us": (int, float),
+    "max_ratio": (int, float), "window_us": (int, float),
+    "budget": (int, float),
+}
+
+
 def objective_from_dict(doc: dict) -> SLOObjective:
     """Build an objective from one config entry (strict keys)."""
     if not isinstance(doc, dict):
         raise ConfigError(f"SLO objective must be an object, got "
                           f"{type(doc).__name__}")
-    allowed = {"name", "kind", "op", "stream", "device_kind", "percentile",
-               "threshold_us", "max_ratio", "window_us", "budget"}
-    unknown = set(doc) - allowed
+    unknown = set(doc) - set(_OBJECTIVE_TYPES)
     if unknown:
         raise ConfigError(
             f"SLO objective {doc.get('name', '?')!r}: unknown keys "
             f"{sorted(unknown)}")
     if "name" not in doc:
         raise ConfigError("SLO objective missing required key 'name'")
+    for key, value in doc.items():
+        if not isinstance(value, _OBJECTIVE_TYPES[key]) \
+                or isinstance(value, bool):
+            raise ConfigError(
+                f"SLO objective {doc['name']!r}: {key!r} has the wrong "
+                f"type ({type(value).__name__})")
     return SLOObjective(**doc)
 
 
 def load_slo_config(path: str | Path) -> list[SLOObjective]:
     """Read a ``repro.obs.slo/v1`` config file into objectives."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"SLO config not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as error:
-        raise ConfigError(
-            f"SLO config {path} is not valid JSON: {error}") from error
-    return validate_slo_document(doc)
+    return validate_slo_document(read_json(path, "SLO config"))
 
 
 def validate_slo_document(doc: dict) -> list[SLOObjective]:

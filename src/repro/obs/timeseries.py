@@ -33,11 +33,21 @@ disabled path costs one ``is None`` test per step.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
+from repro.artifacts import (
+    decode_float,
+    encode_float,
+    is_number,
+    read_jsonl,
+    read_text,
+    write_jsonl,
+    write_text,
+)
 from repro.errors import ConfigError
 from repro.obs.metrics import MetricsRegistry
 
@@ -333,7 +343,7 @@ class TimeseriesSampler:
                 "resolution": s.buffer.resolution,
                 "downsamples": s.buffer.downsamples,
                 "t": list(s.buffer.times),
-                "v": [_finite(v) for v in s.buffer.values],
+                "v": [encode_float(v) for v in s.buffer.values],
             })
         return {
             "schema": TIMESERIES_SCHEMA,
@@ -346,54 +356,27 @@ class TimeseriesSampler:
     def export_jsonl(self, path: str | Path) -> Path:
         """Write the document as JSONL: header line, then one series/line."""
         document = self.to_dict()
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as handle:
-            header = {k: v for k, v in document.items() if k != "series"}
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            for series in document["series"]:
-                handle.write(json.dumps(series, sort_keys=True) + "\n")
-        return path
+        header = {k: v for k, v in document.items() if k != "series"}
+        return write_jsonl(path, [header, *document["series"]])
 
     def export_csv(self, path: str | Path) -> Path:
         """Write long-format CSV: ``name,labels,unit,kind,t,value``."""
-        document = self.to_dict()
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["name", "labels", "unit", "kind", "t", "value"])
-            for series in document["series"]:
-                labels = json.dumps(series["labels"], sort_keys=True)
-                for t, v in zip(series["t"], series["v"]):
-                    writer.writerow([series["name"], labels,
-                                     series["unit"] or "",
-                                     series["kind"], t, v])
-        return path
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(["name", "labels", "unit", "kind", "t", "value"])
+        for series in self.to_dict()["series"]:
+            labels = json.dumps(series["labels"], sort_keys=True)
+            for t, v in zip(series["t"], series["v"]):
+                writer.writerow([series["name"], labels,
+                                 series["unit"] or "",
+                                 series["kind"], t, v])
+        return write_text(path, buffer.getvalue())
 
     def export(self, path: str | Path) -> Path:
         """Dispatch on suffix: ``.csv`` -> CSV, everything else JSONL."""
         if str(path).endswith(".csv"):
             return self.export_csv(path)
         return self.export_jsonl(path)
-
-
-def _finite(value: float):
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    return value
-
-
-def _unfinite(value) -> float:
-    if value == "NaN":
-        return math.nan
-    if value == "Infinity":
-        return math.inf
-    if value == "-Infinity":
-        return -math.inf
-    return float(value)
 
 
 # -- loading / validation ---------------------------------------------------
@@ -405,60 +388,39 @@ def load_timeseries(path: str | Path) -> dict:
     Raises :class:`~repro.errors.ConfigError` on missing files or
     corrupt content — ``repro report`` maps that to exit code 2.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"timeseries artifact not found: {path}")
-    if path.suffix == ".csv":
+    if Path(path).suffix == ".csv":
         document = _load_csv(path)
     else:
-        document = _load_jsonl(path)
+        lines = read_jsonl(path, "timeseries artifact")
+        if not lines:
+            raise ConfigError(f"timeseries artifact {path} is empty")
+        document = {**lines[0], "series": lines[1:]}
     return validate_timeseries_document(document)
 
 
-def _load_jsonl(path: Path) -> dict:
-    lines = [line for line in path.read_text().splitlines() if line.strip()]
-    if not lines:
-        raise ConfigError(f"timeseries artifact {path} is empty")
-    try:
-        header = json.loads(lines[0])
-        series = [json.loads(line) for line in lines[1:]]
-    except json.JSONDecodeError as error:
-        raise ConfigError(
-            f"timeseries artifact {path} is not valid JSONL: {error}"
-        ) from error
-    if not isinstance(header, dict):
-        raise ConfigError(
-            f"timeseries artifact {path}: header line must be an object")
-    document = dict(header)
-    document["series"] = series
-    return document
-
-
-def _load_csv(path: Path) -> dict:
+def _load_csv(path: str | Path) -> dict:
+    text = read_text(path, "timeseries artifact")
     series: dict[tuple[str, str], dict] = {}
     try:
-        with path.open(newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != ["name", "labels", "unit", "kind", "t", "value"]:
-                raise ConfigError(
-                    f"timeseries CSV {path} has unexpected header "
-                    f"{header!r}")
-            for row in reader:
-                if len(row) != 6:
-                    raise ConfigError(
-                        f"timeseries CSV {path}: bad row {row!r}")
-                name, labels_json, unit, kind, t, v = row
-                entry = series.setdefault((name, labels_json), {
-                    "name": name,
-                    "labels": json.loads(labels_json),
-                    "unit": unit or None, "kind": kind,
-                    "resolution": 0.0, "downsamples": 0,
-                    "t": [], "v": [],
-                })
-                entry["t"].append(float(t))
-                entry["v"].append(_finite(_unfinite(v)))
-    except (json.JSONDecodeError, ValueError) as error:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = next(reader, None)
+        if header != ["name", "labels", "unit", "kind", "t", "value"]:
+            raise ConfigError(
+                f"timeseries CSV {path} has unexpected header {header!r}")
+        for row in reader:
+            if len(row) != 6:
+                raise ConfigError(f"timeseries CSV {path}: bad row {row!r}")
+            name, labels_json, unit, kind, t, v = row
+            entry = series.setdefault((name, labels_json), {
+                "name": name,
+                "labels": json.loads(labels_json),
+                "unit": unit or None, "kind": kind,
+                "resolution": 0.0, "downsamples": 0,
+                "t": [], "v": [],
+            })
+            entry["t"].append(float(t))
+            entry["v"].append(encode_float(decode_float(v)))
+    except (ValueError, RecursionError, csv.Error) as error:
         raise ConfigError(
             f"timeseries CSV {path} is corrupt: {error}") from error
     return {
@@ -514,10 +476,7 @@ def validate_timeseries_document(document: object) -> dict:
                 fail(f"{name}: times must be non-decreasing")
             previous = t
         for v in values:
-            if isinstance(v, str):
-                if v not in ("NaN", "Infinity", "-Infinity"):
-                    fail(f"{name}: bad encoded value {v!r}")
-            elif not isinstance(v, (int, float)) or isinstance(v, bool):
+            if not is_number(v):
                 fail(f"{name}: non-numeric value {v!r}")
     return document  # type: ignore[return-value]
 
@@ -548,7 +507,7 @@ def series_from_document(document: dict, name: str,
             f"{len(matches)} series match")
     entry = matches[0]
     return (list(map(float, entry["t"])),
-            [_unfinite(v) for v in entry["v"]])
+            [decode_float(v) for v in entry["v"]])
 
 
 def document_series_names(document: dict) -> list[str]:

@@ -19,12 +19,12 @@ object with a ``now`` attribute, a zero-argument callable, or nothing
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from repro.artifacts import write_jsonl
 from repro.errors import ConfigError
 
 
@@ -199,13 +199,7 @@ class SimTimeTracer:
 
     def export_jsonl(self, path: str | Path) -> Path:
         """Write one JSON object per record, ordered by sim time."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as handle:
-            for record in self.records():
-                handle.write(json.dumps(record.to_json(), sort_keys=True))
-                handle.write("\n")
-        return path
+        return write_jsonl(path, [r.to_json() for r in self.records()])
 
     def clear(self) -> None:
         self._spans.clear()

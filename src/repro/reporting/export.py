@@ -14,59 +14,18 @@ schema::
       "metrics": {...}                    # optional; attach_metrics()
     }
 
-Non-finite policy: JSON has no NaN/Infinity, and ``json.dumps`` silently
-emits the non-standard ``NaN`` literal unless told otherwise. Artifacts
-must parse everywhere (jq, browsers, strict parsers), so non-finite floats
-are encoded as the strings ``"NaN"``, ``"Infinity"`` and ``"-Infinity"``,
-and the final dump runs with ``allow_nan=False`` to guarantee none leak
-through raw. Values of unknown types are rejected with
-:class:`~repro.errors.ConfigError` rather than silently stringified.
+The encoding (canonical bytes, non-finite floats as ``"NaN"``/
+``"Infinity"`` strings, unknown types rejected with
+:class:`~repro.errors.ConfigError`) is :mod:`repro.artifacts`'s.
 """
 
 from __future__ import annotations
 
-import json
-import math
-from enum import Enum
 from pathlib import Path
 
-import numpy as np
-
+from repro.artifacts import jsonable, read_json, require_fields, write_json
 from repro.errors import ConfigError
 from repro.reporting.series import Series
-
-
-def _finite(value: float):
-    """Encode non-finite floats as strings (see module docstring)."""
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    return value
-
-
-def _jsonable(value):
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return _finite(float(value))
-    if isinstance(value, str):
-        return value
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (Path, Enum)):
-        return str(value.value) if isinstance(value, Enum) else str(value)
-    raise ConfigError(
-        f"cannot serialise {type(value).__name__!r} value {value!r} "
-        f"into an experiment artifact")
 
 
 class ExperimentWriter:
@@ -120,13 +79,13 @@ class ExperimentWriter:
                     f"{len(headers)} headers")
         self._tables[name] = {
             "headers": list(headers),
-            "rows": [_jsonable(list(row)) for row in rows],
+            "rows": [jsonable(list(row)) for row in rows],
         }
 
     def add_series(self, series: Series) -> None:
         self._series[series.name] = {
-            "x": _jsonable(series.x),
-            "y": _jsonable(series.y),
+            "x": jsonable(series.x),
+            "y": jsonable(series.y),
             "x_label": series.x_label,
             "y_label": series.y_label,
         }
@@ -134,42 +93,25 @@ class ExperimentWriter:
     def document(self) -> dict:
         document = {
             "experiment": self.experiment,
-            "meta": _jsonable(self.meta),
+            "meta": jsonable(self.meta),
             "tables": self._tables,
             "series": self._series,
         }
         if self._metrics is not None:
-            document["metrics"] = _jsonable(self._metrics.to_dict())
+            document["metrics"] = jsonable(self._metrics.to_dict())
         if self._timeseries is not None:
-            document["timeseries"] = _jsonable(self._timeseries.to_dict())
+            document["timeseries"] = jsonable(self._timeseries.to_dict())
         return document
 
     def write(self, directory: str | Path) -> Path:
         """Write ``<directory>/<experiment>.json``; returns the path."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"{self.experiment}.json"
-        path.write_text(json.dumps(self.document(), indent=2,
-                                   sort_keys=True, allow_nan=False))
-        return path
+        return write_json(Path(directory) / f"{self.experiment}.json",
+                          self.document())
 
 
 def load_experiment(path: str | Path) -> dict:
-    """Read back an artifact; validates the schema's top-level shape.
-
-    Raises :class:`~repro.errors.ConfigError` on missing files and
-    corrupt JSON so consumers (``repro report``) map the condition to
-    exit code 2 rather than an unexpected-error traceback.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"artifact not found: {path}")
-    try:
-        document = json.loads(path.read_text())
-    except json.JSONDecodeError as error:
-        raise ConfigError(
-            f"artifact {path} is not valid JSON: {error}") from error
-    for key in ("experiment", "meta", "tables", "series"):
-        if key not in document:
-            raise ConfigError(f"artifact {path} missing key {key!r}")
+    """Read back an artifact; validates the schema's top-level shape."""
+    document = read_json(path, "artifact")
+    require_fields(document, f"artifact {path}", dict.fromkeys(
+        ("experiment", "meta", "tables", "series"), object))
     return document

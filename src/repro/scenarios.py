@@ -23,11 +23,11 @@ this as ``python -m repro run <scenario.json> [--out results/]``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import fields, replace
 from pathlib import Path
 
 from repro import faults as faults_mod
+from repro.artifacts import read_json
 from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.reporting.export import ExperimentWriter
@@ -39,8 +39,7 @@ SCENARIO_KINDS = ("fleet", "tournament", "carbon", "tco", "replacement",
 
 def load_scenario(path: str | Path) -> dict:
     """Read and validate a scenario document."""
-    document = json.loads(Path(path).read_text())
-    return validate_scenario(document)
+    return validate_scenario(read_json(path, "scenario"))
 
 
 def validate_scenario(document: dict) -> dict:

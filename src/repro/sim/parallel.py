@@ -22,7 +22,6 @@ re-import) and falls back to the platform default elsewhere.
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing
 import os
@@ -34,6 +33,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from repro import obs
+from repro.artifacts import read_json, require_fields, write_json
 from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.rng import fork_rng, make_rng
@@ -247,58 +247,34 @@ def sweep_document(config: FleetConfig, modes: Sequence[str],
 
 
 def write_sweep_artifact(document: dict, path: str | Path) -> Path:
-    """Write a sweep document as canonical JSON (byte-stable).
-
-    ``sort_keys`` plus fixed indentation plus ``allow_nan=False`` (the
-    document already maps infinities to None) makes the bytes a pure
-    function of the document contents.
-    """
-    if document.get("schema") != SWEEP_SCHEMA:
-        raise ConfigError(
-            f"not a {SWEEP_SCHEMA} document: "
-            f"schema={document.get('schema')!r}")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(document, indent=2, sort_keys=True,
-                         allow_nan=False) + "\n"
-    path.write_text(payload)
-    return path
+    """Validate a sweep document and write it as canonical JSON."""
+    validate_sweep_document(document)
+    return write_json(path, document)
 
 
 def load_sweep_artifact(path: str | Path) -> dict:
     """Read and validate a ``repro.sweep/v1`` artifact."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"sweep artifact not found: {path}")
-    try:
-        document = json.loads(path.read_text())
-    except json.JSONDecodeError as error:
-        raise ConfigError(
-            f"sweep artifact {path} is not valid JSON: {error}") from error
+    document = read_json(path, "sweep artifact")
     validate_sweep_document(document)
     return document
 
 
 def validate_sweep_document(document: dict) -> None:
     """Schema check for ``repro.sweep/v1`` documents."""
-    if not isinstance(document, dict):
-        raise ConfigError("sweep document must be a JSON object")
-    if document.get("schema") != SWEEP_SCHEMA:
-        raise ConfigError(
-            f"unsupported sweep schema: {document.get('schema')!r}")
-    for key in ("config", "modes", "seeds", "results"):
-        if key not in document:
-            raise ConfigError(f"sweep document missing {key!r}")
+    require_fields(document, "sweep document", {"schema": object})
+    if document["schema"] != SWEEP_SCHEMA:
+        raise ConfigError(f"unsupported sweep schema: {document['schema']!r}")
+    require_fields(document, "sweep document", {
+        "config": dict, "modes": list, "seeds": list, "results": list})
     expected = len(document["modes"]) * len(document["seeds"])
     if len(document["results"]) != expected:
         raise ConfigError(
             f"sweep document has {len(document['results'])} results; "
             f"modes x seeds = {expected}")
     for record in document["results"]:
-        for key in ("mode", "seed", "days", "functioning",
-                    "capacity_bytes", "mean_lifetime_days"):
-            if key not in record:
-                raise ConfigError(f"sweep result missing {key!r}")
+        require_fields(record, "sweep result", dict.fromkeys((
+            "mode", "seed", "days", "functioning", "capacity_bytes",
+            "mean_lifetime_days"), object))
 
 
 def summarize_sweep(document: dict) -> list[dict]:

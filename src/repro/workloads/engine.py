@@ -68,6 +68,7 @@ import multiprocessing
 from dataclasses import asdict, dataclass, field, replace
 
 from repro import obs
+from repro.artifacts import read_json, require_fields, write_json
 from repro.errors import ConfigError
 from repro.io.probe import _PROBE_ERRORS, BUILD_MODES, build_queue_device
 from repro.io.queue import DeviceQueue
@@ -896,30 +897,14 @@ def _config_record(config: EngineConfig) -> dict:
 # -- artifact I/O ------------------------------------------------------------
 
 def write_engine_artifact(document: dict, path) -> "Path":
-    """Write a traffic document as canonical JSON (byte-stable)."""
-    from pathlib import Path
+    """Validate a traffic document and write it as canonical JSON."""
     validate_engine_document(document)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    import json
-    path.write_text(json.dumps(document, indent=2, sort_keys=True,
-                               allow_nan=False) + "\n")
-    return path
+    return write_json(path, document)
 
 
 def load_engine_artifact(path) -> dict:
     """Read and validate a ``repro.workloads.engine/v1`` artifact."""
-    from pathlib import Path
-    import json
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"traffic artifact not found: {path}")
-    try:
-        document = json.loads(path.read_text())
-    except json.JSONDecodeError as error:
-        raise ConfigError(
-            f"traffic artifact {path} is not valid JSON: {error}"
-        ) from error
+    document = read_json(path, "traffic artifact")
     validate_engine_document(document)
     return document
 
@@ -931,20 +916,18 @@ def validate_engine_document(document: dict) -> None:
     tests rely on: every tenant's ``offered == admitted + shed``, and
     the totals are the exact sums of the tenant rows.
     """
-    if not isinstance(document, dict):
-        raise ConfigError("traffic document must be a JSON object")
-    if document.get("schema") != ENGINE_SCHEMA:
+    require_fields(document, "traffic document", {"schema": object})
+    if document["schema"] != ENGINE_SCHEMA:
         raise ConfigError(
-            f"unsupported traffic schema: {document.get('schema')!r}")
-    for key in ("config", "cells", "tenants", "totals"):
-        if key not in document:
-            raise ConfigError(f"traffic document missing {key!r}")
+            f"unsupported traffic schema: {document['schema']!r}")
+    require_fields(document, "traffic document", {
+        "config": dict, "cells": list, "tenants": list, "totals": dict})
     totals = {"offered": 0, "admitted": 0, "shed": 0}
     for row in document["tenants"]:
-        for key in ("tenant", "class", "loop", "offered", "admitted",
-                    "shed", "completed"):
-            if key not in row:
-                raise ConfigError(f"tenant row missing {key!r}")
+        require_fields(row, "tenant row", {
+            "tenant": object, "class": object, "loop": object,
+            "offered": int, "admitted": int, "shed": int,
+            "completed": object})
         if row["offered"] != row["admitted"] + row["shed"]:
             raise ConfigError(
                 f"tenant {row['tenant']}: offered {row['offered']} != "

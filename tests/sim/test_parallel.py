@@ -167,6 +167,17 @@ class TestSchemaValidation:
                                      "config": {}, "modes": [],
                                      "seeds": [], "results": []})
 
+    @pytest.mark.parametrize("key, value", [
+        ("results", 5), ("modes", 5), ("seeds", "ab"), ("config", []),
+        ("results", [5]),
+    ])
+    def test_wrongly_typed_fields_rejected(self, key, value):
+        document = {"schema": "repro.sweep/v1", "config": {},
+                    "modes": ["baseline"], "seeds": [1], "results": [{}]}
+        document[key] = value
+        with pytest.raises(ConfigError):
+            validate_sweep_document(document)
+
     def test_result_count_must_match_grid(self):
         with pytest.raises(ConfigError):
             validate_sweep_document({

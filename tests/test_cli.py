@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,9 @@ from repro.cli import (
     main,
 )
 from repro.obs import validate_metrics_document, validate_timeseries_document
+
+SLO_DEFAULT = str(Path(__file__).resolve().parents[1]
+                  / "scenarios" / "slo_default.json")
 
 
 class TestParser:
@@ -121,6 +125,39 @@ class TestVersionAndExitCodes:
         err = capsys.readouterr().err
         assert "unexpected error" in err
         assert "RuntimeError" in err
+
+
+#: Every flag that reads a file, as an argv template (``{}`` is the
+#: input path). Each must turn a bad input into exit 2, never 3.
+FILE_FLAGS = [
+    ["run", "{}"],
+    ["report", "--metrics", "{}"],
+    ["report", "--timeseries", "{}"],
+    ["report", "--timeseries", "{}.csv"],
+    ["report", "--trace", "{}"],
+    ["report", "--artifact", "{}"],
+    ["report", "--endurance", "{}"],
+    ["slo", "--slo", "{}", "--measure"],
+    ["slo", "--slo", SLO_DEFAULT, "--reqtrace", "{}"],
+    ["wear", "report", "--endurance", "{}"],
+    ["fleet", "--faults", "{}"],
+    ["sweep", "--faults", "{}"],
+    ["traffic", "--trace", "{}"],
+    ["traffic", "--slo", "{}"],
+]
+
+
+@pytest.mark.parametrize("content", [None, "", "{bad", "5"],
+                         ids=["missing", "empty", "corrupt", "scalar"])
+@pytest.mark.parametrize("template", FILE_FLAGS, ids=" ".join)
+def test_bad_input_file_exits_2(capsys, tmp_path, template, content):
+    argv = [arg.replace("{}", str(tmp_path / "input")) for arg in template]
+    if content is not None:
+        Path(next(a for a in argv if "input" in a)).write_text(content)
+    assert main(argv) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
 
 
 class TestObservabilityFlags:
@@ -291,6 +328,12 @@ class TestReportCommand:
     def test_missing_artifact_exits_2(self, capsys, tmp_path):
         assert main(["report", "--artifact",
                      str(tmp_path / "nope.json")]) == EXIT_CONFIG_ERROR
+        # A JSON document that is not an object is rejected the same way.
+        scalar = tmp_path / "scalar.json"
+        scalar.write_text("5")
+        assert main(["report", "--artifact", str(scalar)]) \
+            == EXIT_CONFIG_ERROR
+        assert "not a JSON object" in capsys.readouterr().err
 
     def test_bad_tolerance_exits_2(self, capsys, tmp_path):
         assert main(["report", "--tolerance", "1.5"]) \

@@ -184,6 +184,27 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_engine_document(broken)
 
+    @pytest.mark.parametrize("key, value", [
+        ("tenants", 5), ("tenants", [5]), ("totals", []), ("cells", 5),
+        ("config", []),
+    ])
+    def test_validate_rejects_wrongly_typed_fields(self, key, value):
+        document = run_traffic(
+            EngineConfig(tenants=4, duration_us=2000.0, cells=1),
+            seed=SEED)
+        document[key] = value
+        with pytest.raises(ConfigError):
+            validate_engine_document(document)
+
+    def test_validate_rejects_non_integer_counts(self):
+        document = run_traffic(
+            EngineConfig(tenants=4, duration_us=2000.0, cells=1),
+            seed=SEED)
+        row = document["tenants"][0]
+        row["offered"], row["admitted"], row["shed"] = "a", "a", ""
+        with pytest.raises(ConfigError, match="wrong type"):
+            validate_engine_document(document)
+
     def test_validate_catches_closed_loop_shed(self):
         document = run_traffic(
             EngineConfig(tenants=4, duration_us=2000.0, cells=1,
