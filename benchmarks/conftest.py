@@ -7,10 +7,11 @@ emits both the performance numbers and the paper-shaped output. Each
 registered output is also written to ``benchmarks/results/<slug>.txt`` so
 runs leave diffable artifacts behind.
 
-An autouse fixture additionally enables ``repro.obs`` metrics *and* a
-timeseries sampler around each bench, snapshotting the registry into
-``benchmarks/results/metrics/`` (one ``repro.obs.metrics/v1`` JSON per
-bench) and any recorded trajectories into
+An autouse fixture additionally binds a ``repro.obs`` metrics registry,
+tracer *and* timeseries sampler in the run context around each bench,
+snapshotting the registry into ``benchmarks/results/metrics/`` (one
+``repro.obs.metrics/v1`` JSON per bench) and any recorded trajectories
+into
 ``benchmarks/results/timeseries/<slug>.jsonl``
 (``repro.obs.timeseries/v1``). Per-bench telemetry *totals* are also
 appended to ``benchmarks/results/BENCH_timeseries.json`` — a capped
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import obs
+from repro import context, obs
 
 _REGISTERED: list[tuple[str, str]] = []
 _RESULTS_DIR = Path(__file__).parent / "results"
@@ -76,8 +77,10 @@ def _obs_snapshot(request):
     if request.node.get_closest_marker("no_obs") is not None:
         yield None
         return
-    sampler = obs.TimeseriesSampler(cadence=0.0)
-    with obs.enabled(timeseries_sampler=sampler) as (registry, _tracer):
+    registry = obs.MetricsRegistry()
+    sampler = obs.TimeseriesSampler(cadence=0.0, registry=registry)
+    with context.bound(metrics=registry, tracer=obs.SimTimeTracer(),
+                       timeseries=sampler):
         yield registry
         document = registry.to_dict()
         slug = re.sub(r"[^a-z0-9]+", "-",

@@ -4,14 +4,14 @@ Each bench times one narrower hot path than the GC-heavy macro:
 
 * ``ftl_write_micro`` — buffer/flush/allocation with little GC;
 * ``ftl_write_endurance_micro`` — the same loop with the wear ledger
-  installed (the endurance overhead contract), exporting a per-bench
+  bound (the endurance overhead contract), exporting a per-bench
   wear decomposition snapshot;
 * ``io_roundtrip_micro`` — the DeviceQueue request/completion plumbing
   the cluster's default IO path now rides on;
 * ``io_batch_roundtrip_micro`` — the same traffic through
   ``execute_vector`` IOVector batches (the batched hot path);
 * ``io_roundtrip_reqtrace_micro`` — the same loop with request tracing
-  installed at 1-in-64 sampling (the reqtrace overhead contract);
+  bound at 1-in-64 sampling (the reqtrace overhead contract);
 * ``traffic_engine_micro`` — one multi-tenant traffic-engine cell
   (arrival scheduling, admission control, queue dispatch, accounting);
 * ``remount_micro`` — the OOB-replay rebuild scan (mount latency);

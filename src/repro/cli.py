@@ -25,7 +25,7 @@ import os
 import sys
 from typing import Sequence
 
-from repro import obs
+from repro import context
 from repro.artifacts import write_json, write_text
 from repro.errors import ConfigError
 from repro.flash.geometry import FlashGeometry
@@ -56,27 +56,30 @@ def _version() -> str:
         return repro.__version__
 
 
-def _setup_observability(args: argparse.Namespace):
-    """Enable metrics/tracing/timeseries when the output flags ask.
+def _sidecars(args: argparse.Namespace) -> dict:
+    """The run-context sidecars the output flags ask for.
 
-    Returns the ``(registry, tracer, sampler)`` triple (each may be
-    ``None``). Must run *before* the experiment objects are constructed
-    — instrumentation binds at construction time.
+    :func:`main` binds them around the command, so they exist before
+    the experiment objects are constructed — instrumentation binds at
+    construction time.
     """
-    registry = tracer = sampler = None
+    from repro.obs import MetricsRegistry, SimTimeTracer, TimeseriesSampler
+
+    sidecars = {}
     if getattr(args, "metrics_out", None):
-        registry = obs.enable_metrics()
+        sidecars["metrics"] = MetricsRegistry()
     if getattr(args, "trace_out", None):
-        tracer = obs.enable_tracing()
+        sidecars["tracer"] = SimTimeTracer()
     if getattr(args, "timeseries_out", None):
-        from repro.obs.timeseries import DEFAULT_CADENCE
-        sampler = obs.enable_timeseries(
-            cadence=getattr(args, "timeseries_cadence", DEFAULT_CADENCE))
-    return registry, tracer, sampler
+        sidecars["timeseries"] = TimeseriesSampler(
+            registry=sidecars.get("metrics"),
+            cadence=args.timeseries_cadence)
+    return sidecars
 
 
-def _write_observability(args: argparse.Namespace, registry, tracer,
-                         sampler=None) -> None:
+def _write_observability(args: argparse.Namespace) -> None:
+    ctx = context.current()
+    registry, tracer, sampler = ctx.metrics, ctx.tracer, ctx.timeseries
     if registry is not None:
         registry.write_json(args.metrics_out)
         print(f"metrics -> {args.metrics_out}")
@@ -268,7 +271,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.sim.fleet import MODES, FleetConfig, simulate_fleet
     from repro.sim.parallel import resolve_jobs
 
-    registry, tracer, sampler = _setup_observability(args)
     config = FleetConfig(
         devices=args.devices,
         geometry=FlashGeometry(blocks=args.blocks, fpages_per_block=64),
@@ -310,7 +312,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         path = write_sweep_artifact(document, args.out)
         print(f"fleet artifact -> {path}")
     _run_probe_sidecar(args, modes)
-    _write_observability(args, registry, tracer, sampler)
+    _write_observability(args)
     return 0
 
 
@@ -491,7 +493,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.scenarios import load_scenario, run_scenario
 
-    registry, tracer, sampler = _setup_observability(args)
     document = load_scenario(args.scenario)
     plan = _load_fault_plan(args)
     if plan is not None:
@@ -499,13 +500,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         document = dict(document)
         document["faults"] = plan.to_dict()
     writer = run_scenario(document)
-    if registry is not None:
-        writer.attach_metrics(registry)
-    if sampler is not None:
-        writer.attach_timeseries(sampler)
+    ctx = context.current()
+    if ctx.metrics is not None:
+        writer.attach_metrics(ctx.metrics)
+    if ctx.timeseries is not None:
+        writer.attach_timeseries(ctx.timeseries)
     path = writer.write(args.out)
     _run_probe_sidecar(args)
-    _write_observability(args, registry, tracer, sampler)
+    _write_observability(args)
     print(f"scenario {document['name']!r} ({document['kind']}) -> {path}")
     for name, table in writer.document()["tables"].items():
         print(format_table(table["headers"], table["rows"], title=name))
@@ -523,7 +525,6 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
     )
     from repro.workloads.traces import Trace
 
-    registry, tracer, sampler = _setup_observability(args)
     trace_text = Trace.load(args.trace).dumps() if args.trace else None
     objectives = (slo_mod.load_slo_config(args.slo)
                   if args.slo else None)
@@ -552,7 +553,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
         document["meta"] = {"jobs": jobs}
     publish_traffic_metrics(document)
     path = write_engine_artifact(document, args.out)
-    _write_observability(args, registry, tracer, sampler)
+    _write_observability(args)
 
     totals = document["totals"]
     rows = [[klass, "-" if p99 is None else f"{p99:.1f}"]
@@ -1137,11 +1138,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    uses_obs = bool(getattr(args, "metrics_out", None)
-                    or getattr(args, "trace_out", None)
-                    or getattr(args, "timeseries_out", None))
     try:
-        return args.func(args)
+        with context.bound(**_sidecars(args)):
+            return args.func(args)
     except ConfigError as error:
         print(f"repro: configuration error: {error}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -1155,11 +1154,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"repro: unexpected error: "
               f"{type(error).__name__}: {error}", file=sys.stderr)
         return EXIT_UNEXPECTED_ERROR
-    finally:
-        if uses_obs:
-            # Restore the no-op singletons so library callers of main()
-            # (and the test suite) see no global state change.
-            obs.disable()
 
 
 if __name__ == "__main__":

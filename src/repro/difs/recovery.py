@@ -11,9 +11,10 @@ time — and RegenS adds traffic for the shorter-lived regenerated capacity.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from repro import faults, obs
+from repro import context
 from repro.errors import NoPlacementError, ReproError
 from repro.obs.instruments import difs_instruments
 
@@ -69,7 +70,9 @@ class RecoveryManager:
     def __init__(self, cluster) -> None:
         self._cluster = cluster
         self.stats = RecoveryStats()
-        self._faults = faults.injector()
+        ctx = context.current()
+        self._faults = ctx.faults
+        self._tracer = ctx.tracer
         self._pending_volumes: list[str] = []
         self._pending_chunks: list[str] = []
         self._failed_volumes: set[str] = set()
@@ -131,8 +134,7 @@ class RecoveryManager:
                 self._instr.degraded_dwell.labels(kind="volume").observe(
                     self._cluster.time - enqueued)
                 self._set_queue_gauges()
-                with obs.tracer().span("difs.recover_volume",
-                                       volume=volume_id):
+                with self._span("difs.recover_volume", volume=volume_id):
                     self._recover_volume(volume_id)
             elif self._pending_chunks:
                 chunk_id = self._pending_chunks.pop(0)
@@ -144,8 +146,14 @@ class RecoveryManager:
                 self._instr.degraded_dwell.labels(kind="chunk").observe(
                     self._cluster.time - enqueued)
                 self._set_queue_gauges()
-                with obs.tracer().span("difs.repair_chunk", chunk=chunk_id):
+                with self._span("difs.repair_chunk", chunk=chunk_id):
                     self._repair_chunk(chunk_id, record=None)
+
+    def _span(self, name: str, **attrs):
+        """A span on the bound tracer, or a null scope without one."""
+        if self._tracer is None:
+            return nullcontext()
+        return self._tracer.span(name, **attrs)
 
     def _event_fault(self, kind: str, item_id: str, queue: list[str],
                      times: list[float], enqueued: float) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import obs
+from repro import context
 from repro.errors import ConfigError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.rber import lognormal_page_variation
@@ -193,13 +193,12 @@ def record_trajectories(trajectories: list[DeviceTrajectory],
     """Record a population's trajectories into a timeseries sampler.
 
     Each device's fields are labelled ``device=telemetry-<id>`` (plus
-    any extra ``labels``); defaults to the active
-    :func:`repro.obs.timeseries` sampler and no-ops (returning 0) when
-    timeseries collection is disabled. Returns the number of points
-    recorded.
+    any extra ``labels``); defaults to the run context's timeseries
+    sampler and no-ops (returning 0) when none is bound. Returns the
+    number of points recorded.
     """
     if sampler is None:
-        sampler = obs.timeseries() if obs.timeseries_enabled() else None
+        sampler = context.current().timeseries
     if sampler is None:
         return 0
     recorded = 0

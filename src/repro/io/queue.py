@@ -62,7 +62,7 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 
-from repro import obs
+from repro import context
 from repro.errors import ConfigError, UncorrectableError
 from repro.io.protocols import device_kind_of
 from repro.io.request import IOCompletion, IORequest
@@ -78,7 +78,6 @@ from repro.io.vector import (
     CompletionVector,
     IOVector,
 )
-from repro.obs import reqtrace, slo
 from repro.obs.instruments import io_instruments
 
 # Re-exported for callers that predate the stats split; QueueStats is
@@ -225,14 +224,15 @@ class DeviceQueue:
         #: op name -> (latency observe, wait observe, request count inc).
         self._op_children: dict[str, tuple] = {}
         # Request tracing / SLO tracking bind at construction, like
-        # fault injection: None unless installed, one identity test on
-        # the hot path when off.
-        self._reqtrace = reqtrace.tracer()
+        # fault injection: None unless bound, one identity test on the
+        # hot path when off.
+        ctx = context.current()
+        self._reqtrace = ctx.reqtrace
         self._rt_sampler = (self._reqtrace.sampler_for(self.device_kind)
                             if self._reqtrace is not None else None)
-        self._slo = slo.engine()
-        if obs.metrics_enabled():
-            obs.metrics().add_collect_hook(
+        self._slo = ctx.slo
+        if ctx.metrics is not None:
+            ctx.metrics.add_collect_hook(
                 partial(_publish_miss_ratio, self._instr),
                 key=("repro_io_deadline_miss_ratio", self.device_kind))
 

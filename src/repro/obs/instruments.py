@@ -2,9 +2,11 @@
 
 Instrumented subsystems call these factories once at construction and
 keep the returned bundle; each field is a metric child (or family,
-when further labels vary per call site). With observability disabled
-the bundles are built from the no-op singletons, so the per-operation
-cost is a no-op method call.
+when further labels vary per call site). With no registry bound in the
+run context (:mod:`repro.context`) the bundles are built from the
+no-op stand-ins below, so hot paths such as
+``self._instr.host_writes.inc()`` never branch and the per-operation
+cost is one no-op method call.
 
 Families are (re-)registered idempotently on every call, so multiple
 devices/clusters share one family and differ only by their label
@@ -20,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any
 
-from repro import obs
+from repro import context
 
 _device_ids = itertools.count()
 
@@ -28,6 +30,56 @@ _device_ids = itertools.count()
 def next_device_name() -> str:
     """Process-unique default device label (``dev0``, ``dev1``, ...)."""
     return f"dev{next(_device_ids)}"
+
+
+class NullChild:
+    """Accepts counter/gauge/histogram mutations and does nothing."""
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        pass
+
+    def set(self, value: float) -> None:
+        pass
+
+    def observe(self, value: float) -> None:
+        pass
+
+
+class NullFamily(NullChild):
+    """A metric family whose children are all the null child."""
+
+    __slots__ = ()
+
+    def labels(self, **labels) -> NullChild:
+        return NULL_CHILD
+
+
+class NullMetricsRegistry:
+    """Registry stand-in for the factories: every family is null."""
+
+    __slots__ = ()
+
+    def counter(self, name, help="", unit=None, labelnames=()):
+        return NULL_FAMILY
+
+    gauge = counter
+
+    def histogram(self, name, help="", unit=None, labelnames=(),
+                  buckets=None):
+        return NULL_FAMILY
+
+
+NULL_CHILD = NullChild()
+NULL_FAMILY = NullFamily()
+NULL_METRICS = NullMetricsRegistry()
+
+
+def _registry():
+    """The bound metrics registry, or the null one when none is."""
+    registry = context.current().metrics
+    return NULL_METRICS if registry is None else registry
 
 
 # Fraction-shaped buckets for ratios in [0, 1].
@@ -71,7 +123,7 @@ class FTLInstruments:
 
 
 def ftl_instruments(device: str) -> FTLInstruments:
-    m = obs.metrics()
+    m = _registry()
 
     def counter(name: str, help_text: str, unit: str = "opages"):
         return m.counter(name, help=help_text, unit=unit,
@@ -122,7 +174,7 @@ class GCInstruments:
 
 
 def gc_instruments(policy: str) -> GCInstruments:
-    m = obs.metrics()
+    m = _registry()
     return GCInstruments(
         picks=m.counter(
             "repro_gc_victim_picks_total",
@@ -156,7 +208,7 @@ class SalamanderInstruments:
 
 
 def salamander_instruments(device: str) -> SalamanderInstruments:
-    m = obs.metrics()
+    m = _registry()
     return SalamanderInstruments(
         device=device,
         decommissions=m.counter(
@@ -210,7 +262,7 @@ class IOInstruments:
 
 
 def io_instruments(device_kind: str) -> IOInstruments:
-    m = obs.metrics()
+    m = _registry()
     return IOInstruments(
         device_kind=device_kind,
         latency=m.histogram(
@@ -289,7 +341,7 @@ class WearInstruments:
 
 
 def wear_instruments(device: str) -> WearInstruments:
-    m = obs.metrics()
+    m = _registry()
 
     def gauge(name: str, help_text: str, unit: str):
         return m.gauge(name, help=help_text, unit=unit,
@@ -347,7 +399,7 @@ class DiFSInstruments:
 
 
 def difs_instruments() -> DiFSInstruments:
-    m = obs.metrics()
+    m = _registry()
     return DiFSInstruments(
         recovery_bytes=m.counter(
             "repro_difs_recovery_bytes_total",
@@ -398,7 +450,7 @@ class FleetInstruments:
 
 
 def fleet_instruments(mode: str) -> FleetInstruments:
-    m = obs.metrics()
+    m = _registry()
     return FleetInstruments(
         mode=mode,
         step_duration=m.histogram(
@@ -436,7 +488,7 @@ class FaultInstruments:
 
 
 def fault_instruments() -> FaultInstruments:
-    m = obs.metrics()
+    m = _registry()
     return FaultInstruments(
         injected=m.counter(
             "repro_faults_injected_total",
@@ -471,7 +523,7 @@ class TrafficInstruments:
 
 
 def traffic_instruments() -> TrafficInstruments:
-    m = obs.metrics()
+    m = _registry()
     return TrafficInstruments(
         requests=m.counter(
             "repro_traffic_requests_total",
@@ -520,7 +572,7 @@ class ShardInstruments:
 
 
 def shard_instruments() -> ShardInstruments:
-    m = obs.metrics()
+    m = _registry()
     return ShardInstruments(
         tick_duration=m.histogram(
             "repro_shard_tick_seconds",
@@ -541,7 +593,7 @@ def shard_instruments() -> ShardInstruments:
 
 
 def engine_instruments() -> EngineInstruments:
-    m = obs.metrics()
+    m = _registry()
     return EngineInstruments(
         events_executed=m.counter(
             "repro_engine_events_executed_total",

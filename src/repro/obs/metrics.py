@@ -24,9 +24,10 @@ Design notes:
   objects without locks; ``inc``/``set``/``observe`` are a few
   attribute operations each.
 
-The module-level default registry lives in :mod:`repro.obs` and is a
-no-op (:mod:`repro.obs.noop`) until explicitly enabled, so
-instrumentation costs ~nothing when observability is off.
+A registry is active only when bound in the run context
+(:mod:`repro.context`); with none bound the instrument factories hand
+out no-op children, so instrumentation costs ~nothing when metrics are
+off.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from repro.artifacts import jsonable, read_json, require_fields, write_json
 from repro.errors import ConfigError
+from repro.obs.timeseries import validate_timeseries_document
 from repro.reporting.series import Series
 
 
@@ -110,8 +111,23 @@ class ExperimentWriter:
 
 
 def load_experiment(path: str | Path) -> dict:
-    """Read back an artifact; validates the schema's top-level shape."""
+    """Read back an artifact; validates the shape ``repro report`` reads.
+
+    That is the top-level keys, every table's ``headers``/``rows``,
+    every series' ``y`` and, when present, the embedded timeseries
+    document.
+    """
     document = read_json(path, "artifact")
-    require_fields(document, f"artifact {path}", dict.fromkeys(
-        ("experiment", "meta", "tables", "series"), object))
+    what = f"artifact {path}"
+    require_fields(document, what, {"experiment": object, "meta": object,
+                                    "tables": dict, "series": dict})
+    for name, table in document["tables"].items():
+        require_fields(table, f"{what} table {name!r}",
+                       {"headers": list, "rows": list})
+        if not all(isinstance(row, list) for row in table["rows"]):
+            raise ConfigError(f"{what} table {name!r} rows must be lists")
+    for name, series in document["series"].items():
+        require_fields(series, f"{what} series {name!r}", {"y": list})
+    if "timeseries" in document:
+        validate_timeseries_document(document["timeseries"])
     return document

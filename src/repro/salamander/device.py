@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from repro import obs
+from repro import context
 from repro.obs.instruments import salamander_instruments
 from repro.obs.smart import smart_field
 
@@ -171,6 +171,10 @@ class SalamanderSSD(PageMappedFTL):
         ]
         self._draining: list[int] = []  # FIFO of DRAINING mdisk ids
         self._exhausted = False
+        ctx = context.current()
+        self._metrics = ctx.metrics
+        self._tracer = ctx.tracer
+        self._ts = ctx.timeseries
         self._sal_instr = salamander_instruments(self.obs_name)
         self._obs_limbo_levels: set[int] = set()
         self._refresh_obs_gauges()
@@ -414,8 +418,11 @@ class SalamanderSSD(PageMappedFTL):
             active = self.active_minidisks()
             if not active:
                 break
-            victim = choose_victim(self.salamander_config.victim_policy,
-                                   active, self._live_counts())
+            policy = self.salamander_config.victim_policy
+            victim = choose_victim(policy, active, self._live_counts())
+            self._count_decision(
+                "repro_shrink_victim_picks_total",
+                "ShrinkS decommission victim selections", policy=policy)
             if led is None:
                 self._decommission_traced(victim, ctx)
             else:
@@ -461,14 +468,22 @@ class SalamanderSSD(PageMappedFTL):
         if minted:
             ctx.bump("regen_events", minted)
 
+    def _count_decision(self, name: str, help_text: str,
+                        **labels: str) -> None:
+        """Count one shrink victim pick / regen plan, if metrics are on."""
+        if self._metrics is not None:
+            self._metrics.counter(
+                name, help=help_text, unit="minidisks",
+                labelnames=tuple(labels)).labels(**labels).inc()
+
     def _refresh_obs_gauges(self) -> None:
         """Push the capacity/limbo state into the metrics registry.
 
         Called after every lifecycle transition (decommission, regenerate,
-        release, exhaustion). A single ``metrics_enabled`` check keeps the
-        disabled-path cost to one boolean test.
+        release, exhaustion). A single ``is None`` check on the bound
+        registry keeps the disabled-path cost to one identity test.
         """
-        if not obs.metrics_enabled():
+        if self._metrics is None:
             return
         instr = self._sal_instr
         counts = self.limbo.counts()
@@ -559,6 +574,10 @@ class SalamanderSSD(PageMappedFTL):
             plan = planner(self.limbo, needed)
             if plan is None:
                 return
+            self._count_decision(
+                "repro_regen_revival_plans_total",
+                "RegenS revival plans produced", level=str(plan.level),
+                mixed="true" if plan.mixed else "false")
             if self._faults is not None:
                 # Crash *before* the mint touches NVRAM: the limbo
                 # ledger / minidisk table mutations below model one
@@ -594,8 +613,8 @@ class SalamanderSSD(PageMappedFTL):
             self._emit(DeviceExhausted(seq=self._event_seq))
 
     def _emit(self, event: HostEvent) -> None:
-        if obs.tracing_enabled():
-            obs.tracer().event(
+        if self._tracer is not None:
+            self._tracer.event(
                 type(event).__name__, device=self.obs_name,
                 **asdict(event))
         self.events.append(event)
@@ -677,13 +696,12 @@ class SalamanderSSD(PageMappedFTL):
                      labels: dict[str, str] | None = None) -> None:
         """Record :meth:`smart_sample` into a timeseries sampler.
 
-        Defaults to the active :func:`repro.obs.timeseries` sampler;
-        no-ops when timeseries collection is disabled. Series are
-        labelled ``device=<obs_name>`` plus any extra ``labels``.
+        Defaults to the sampler bound when the device was built;
+        no-ops when there is none. Series are labelled
+        ``device=<obs_name>`` plus any extra ``labels``.
         """
         if sampler is None:
-            sampler = (obs.timeseries()
-                       if obs.timeseries_enabled() else None)
+            sampler = self._ts
         if sampler is None:
             return
         base = {"device": self.obs_name, **(labels or {})}

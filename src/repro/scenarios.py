@@ -26,10 +26,10 @@ from __future__ import annotations
 from dataclasses import fields, replace
 from pathlib import Path
 
-from repro import faults as faults_mod
+from repro import context
 from repro.artifacts import read_json
 from repro.errors import ConfigError
-from repro.faults import FaultPlan
+from repro.faults import FaultInjector, FaultPlan
 from repro.reporting.export import ExperimentWriter
 from repro.reporting.series import Series
 
@@ -223,7 +223,7 @@ def run_scenario(document: dict) -> ExperimentWriter:
     """Execute a validated scenario; returns the artifact writer.
 
     When the scenario carries a ``"faults"`` plan (``repro.faults/v1``)
-    it is installed as the process-wide injector for the duration of the
+    it is bound as the run context's fault injector for the duration of the
     run, so functional kinds (``tournament``, ...) construct their
     devices fault-aware; the fleet kind additionally passes the plan per
     mode for fresh per-run trigger counters. The plan document is echoed
@@ -239,9 +239,7 @@ def run_scenario(document: dict) -> ExperimentWriter:
     if plan is not None:
         meta["faults"] = plan.to_dict()
     writer = ExperimentWriter(document["name"], meta=meta)
-    if plan is not None:
-        with faults_mod.installed(plan):
-            _RUNNERS[document["kind"]](document, writer)
-    else:
+    sidecars = {} if plan is None else {"faults": FaultInjector(plan)}
+    with context.bound(**sidecars):
         _RUNNERS[document["kind"]](document, writer)
     return writer

@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro import faults, obs
+from repro import context
 from repro.errors import SimulationError
 from repro.obs.instruments import engine_instruments
 from repro.sim.clock import SimClock
@@ -47,8 +47,9 @@ class Engine:
         self._instr = engine_instruments()
         # Bound once at construction, like every instrumentation site:
         # with timeseries disabled the per-event cost is one `is None`.
-        self._ts = obs.timeseries() if obs.timeseries_enabled() else None
-        self._faults = faults.injector()
+        ctx = context.current()
+        self._ts = ctx.timeseries
+        self._faults = ctx.faults
 
     def __len__(self) -> int:
         """Live (scheduled, not cancelled) events — O(1)."""

@@ -34,8 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import faults as faults_mod
-from repro import obs
+from repro import context
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs.instruments import fleet_instruments, shard_instruments
@@ -633,11 +632,12 @@ def merge_ranges(rules: FleetRules, outputs: Sequence[RangeOutput],
     mode = rules.mode
     # Bound once; with observability disabled the per-step cost is a single
     # ``is None`` check (the 5% overhead budget in docs/OBSERVABILITY.md).
-    instr = fleet_instruments(mode) if obs.metrics_enabled() else None
+    ctx = context.current()
+    instr = fleet_instruments(mode) if ctx.metrics is not None else None
     shard_instr = (shard_instruments()
                    if instr is not None and len(outputs) > 1 else None)
-    tracer = obs.tracer() if obs.tracing_enabled() else None
-    sampler = obs.timeseries() if obs.timeseries_enabled() else None
+    tracer = ctx.tracer
+    sampler = ctx.timeseries
     day_now = [0.0]
     if tracer is not None:
         # The fleet model is the time authority here: stamp trace records
@@ -761,7 +761,7 @@ def simulate_fleet(config: FleetConfig, mode: str,
     site: a :class:`~repro.faults.FaultPlan` gets a *fresh* injector per
     call (so parallel sweeps stay byte-identical regardless of worker
     count), an explicit :class:`~repro.faults.FaultInjector` is used as
-    given, and ``None`` falls back to the globally installed injector.
+    given, and ``None`` falls back to the run context's injector.
     Injected device losses pick victims across the whole fleet, so a
     sharded run with an active injector steps one range instead and
     warns with a :class:`RuntimeWarning`.
@@ -772,8 +772,9 @@ def simulate_fleet(config: FleetConfig, mode: str,
         raise ConfigError(
             "a sharded fleet run needs an int seed (workers replay the "
             "RNG walk from it); pass the seed, not a Generator")
+    ctx = context.current()
     if faults is None:
-        injector = faults_mod.injector()
+        injector = ctx.faults
     elif isinstance(faults, FaultInjector):
         injector = faults
     else:
@@ -783,12 +784,12 @@ def simulate_fleet(config: FleetConfig, mode: str,
             "an active fault plan couples shards globally; stepping the "
             "fleet as one device range", RuntimeWarning, stacklevel=2)
         shards = 1
-    sampler = obs.timeseries() if obs.timeseries_enabled() else None
+    sampler = ctx.timeseries
     pending = (tuple(sampler.schedule(
                    float((step + 1) * config.step_days)
                    for step in range(rules.steps)))
                if sampler is not None else (False,) * rules.steps)
-    timing = obs.metrics_enabled()
+    timing = ctx.metrics is not None
     if shards == 1:
         outputs = [run_device_range(rules, make_rng(seed), 0,
                                     config.devices, pending, timing,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import obs
+from repro import context
 from repro.errors import ReproError
 from repro.rng import make_rng
 from repro.salamander.device import SalamanderSSD
@@ -99,7 +99,7 @@ def run_write_lifetime(
     # Bound once; the time axis for lifetime trajectories is *host
     # writes* (the quantity the paper's lifetime claims are over), not
     # simulated seconds — documented in docs/OBSERVABILITY.md.
-    sampler = obs.timeseries() if obs.timeseries_enabled() else None
+    sampler = context.current().timeseries
     device_labels = {"device": getattr(device, "obs_name", "device")}
 
     def _record_trajectory(writes: int) -> None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import faults
+from repro import context
 from repro.errors import (
     ConfigError,
     EraseFaultError,
@@ -40,7 +40,6 @@ from repro.errors import (
     UncorrectableError,
 )
 from repro.flash.chip import FlashChip
-from repro.obs import endurance, reqtrace
 from repro.obs.instruments import ftl_instruments, next_device_name
 from repro.ssd.freelist import BlockIndex
 from repro.ssd.gc import CostBenefitGC, GCPolicy, GreedyGC
@@ -178,16 +177,16 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         self.n_lbas = n_lbas
         self._capacity_lbas = n_lbas
         self._io_queue = None
-        # Fault injection binds at construction, like observability: with
-        # no plan installed the hooks are one attribute test (None).
-        self._faults = faults.injector()
-        # Request tracing binds the same way; the active context (if a
-        # sampled request is mid-dispatch) is read through this binding.
-        self._reqtrace = reqtrace.tracer()
-        # Wear provenance binds the same way: housekeeping paths (GC,
-        # scrubbing, wear leveling, shrink/regen) scope-attribute the chip
-        # programs/erases they cause; everything else stays "host".
-        self._endurance = endurance.ledger()
+        # Sidecars bind at construction: with none bound the hooks are
+        # one attribute test (None). Fault injection; request tracing,
+        # whose active request (if a sampled one is mid-dispatch) is read
+        # through this binding; and wear provenance: housekeeping paths
+        # (GC, scrubbing, wear leveling, shrink/regen) scope-attribute the
+        # chip programs/erases they cause; everything else stays "host".
+        ctx = context.current()
+        self._faults = ctx.faults
+        self._reqtrace = ctx.reqtrace
+        self._endurance = ctx.endurance
         #: Stable observability label for this device's metric series.
         self.obs_name = next_device_name()
         self._instr = ftl_instruments(self.obs_name)
@@ -643,7 +642,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         in order — same drains at the same points, same stats and
         latency samples — with the per-call argument checks hoisted out
         of the loop. Falls back to the scalar loop when fault injection
-        is installed (its crash sites must fire once per write, in
+        is bound (its crash sites must fire once per write, in
         order) or when a member would fail validation (so the error
         surfaces after exactly the writes that precede it).
         """
@@ -1291,7 +1290,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         cost-benefit age term). Nothing on the host path calls this —
         it is the wear signal sink for the ROADMAP item-3 adaptive
         controller — so default-run determinism is untouched. With an
-        endurance ledger installed the pass is charged to the
+        endurance ledger bound the pass is charged to the
         ``wear_level`` cause.
 
         Args:

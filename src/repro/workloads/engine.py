@@ -64,10 +64,9 @@ from __future__ import annotations
 
 import heapq
 import math
-import multiprocessing
 from dataclasses import asdict, dataclass, field, replace
 
-from repro import obs
+from repro import context
 from repro.artifacts import read_json, require_fields, write_json
 from repro.errors import ConfigError
 from repro.io.probe import _PROBE_ERRORS, BUILD_MODES, build_queue_device
@@ -821,9 +820,7 @@ def run_cell(config: EngineConfig, cell: int, seed: int = DEFAULT_SEED,
 
 
 def _cell_star(args: tuple) -> dict:
-    """Worker entry point (picklable; disables obs in pool children)."""
-    if multiprocessing.parent_process() is not None:
-        obs.disable()
+    """Worker entry point (picklable; pool workers run context-free)."""
     return run_cell(*args)
 
 
@@ -953,7 +950,7 @@ def publish_traffic_metrics(document: dict) -> None:
     Workers never export telemetry (parallel discipline); the parent
     calls this once over the merged document when metrics are enabled.
     """
-    if not obs.metrics_enabled():
+    if context.current().metrics is None:
         return
     from repro.obs.instruments import traffic_instruments
     instr = traffic_instruments()

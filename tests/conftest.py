@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import context
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
@@ -18,6 +19,19 @@ from repro.ssd.device import BaselineSSD, SSDConfig
 from repro.ssd.ftl import FTLConfig
 
 TEST_PEC_LIMIT = 25
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_sidecars():
+    """Fail loudly when a previous test leaked a bound sidecar.
+
+    The run context is process-global state; a leak would otherwise
+    surface as a heisenbug in whatever test runs next.
+    """
+    assert context.current() is context.EMPTY, (
+        f"a previous test leaked a bound sidecar: {context.current()}")
+    yield
+    context.reset()
 
 
 @pytest.fixture

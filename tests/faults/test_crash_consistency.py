@@ -12,7 +12,7 @@ On any invariant failure the assertion is re-raised with the flavour,
 seed and the plan's JSON so the exact episode can be replayed:
 
     plan = FaultPlan.from_json(reproducer)
-    with faults.installed(plan): ...
+    with context.bound(faults=FaultInjector(plan)): ...
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import os
 
 import pytest
 
-from repro import faults
-from repro.faults import FaultPlan, FaultSpec
+from repro import context
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.ssd.ftl import PageMappedFTL
 
 from .walk import (
@@ -82,7 +82,7 @@ def episode_plan(flavour, seed) -> FaultPlan:
 def test_fuzz_episode(flavour, seed, make_chip, ftl_config, make_baseline,
                       make_salamander):
     plan = episode_plan(flavour, seed)
-    with faults.installed(plan):
+    with context.bound(faults=FaultInjector(plan)):
         device = build_device(flavour, make_chip, ftl_config,
                               make_baseline, make_salamander, seed)
         try:
@@ -108,7 +108,7 @@ def test_fuzz_episode_batched(flavour, seed, make_chip, ftl_config,
     per-member batch errors must leave the same acked-durability and
     trim guarantees as the scalar submission path."""
     plan = episode_plan(flavour, seed)
-    with faults.installed(plan):
+    with context.bound(faults=FaultInjector(plan)):
         device = build_device(flavour, make_chip, ftl_config,
                               make_baseline, make_salamander, seed)
         try:
@@ -142,7 +142,7 @@ def test_episode_is_deterministic(flavour, make_chip, ftl_config,
     states = []
     for _ in range(2):
         plan = episode_plan(flavour, 4242)
-        with faults.installed(plan):
+        with context.bound(faults=FaultInjector(plan)):
             device = build_device(flavour, make_chip, ftl_config,
                                   make_baseline, make_salamander, 4242)
             result = run_episode(device, plan, 4242)
@@ -162,12 +162,12 @@ def test_differential_replay(flavour, seed, make_chip, ftl_config,
     """Replaying the acked op stream on a fault-free reference device
     reproduces every surviving acked payload byte for byte."""
     plan = episode_plan(flavour, seed)
-    with faults.installed(plan):
+    with context.bound(faults=FaultInjector(plan)):
         device = build_device(flavour, make_chip, ftl_config,
                               make_baseline, make_salamander, seed)
         result = run_episode(device, plan, seed)
 
-    # Fresh chip, same geometry, no faults installed.
+    # Fresh chip, same geometry, no faults bound.
     reference = build_device(flavour, make_chip, ftl_config,
                              make_baseline, make_salamander, seed)
     applied = replay_reference(reference, result.acked_ops)

@@ -1,10 +1,11 @@
-"""FaultInjector dispatch, windows, singleton lifecycle, metrics."""
+"""FaultInjector dispatch, windows, run-context binding, metrics."""
 
 import pytest
 
-from repro import faults, obs
-from repro.errors import ConfigError, PowerLossError
+from repro import context
+from repro.errors import PowerLossError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.obs import MetricsRegistry
 
 
 def plan_of(*specs, seed=None):
@@ -140,51 +141,49 @@ class TestNodeOutages:
 
 
 class TestSingleton:
+    """The injector is the run context's ``faults`` field."""
+
     def test_disabled_by_default(self):
-        assert faults.injector() is None
-        assert not faults.enabled()
+        assert context.current().faults is None
 
     def test_install_uninstall(self):
-        injector = faults.install(FaultPlan.random(1))
-        try:
-            assert faults.injector() is injector
-            assert faults.enabled()
-        finally:
-            faults.uninstall()
-        assert faults.injector() is None
+        injector = FaultInjector(FaultPlan.random(1))
+        with context.bound(faults=injector) as ctx:
+            assert ctx is context.current()
+            assert context.current().faults is injector
+        assert context.current().faults is None
 
     def test_install_accepts_injector(self):
         mine = FaultInjector(FaultPlan.random(2))
-        try:
-            assert faults.install(mine) is mine
-        finally:
-            faults.uninstall()
+        with context.bound(faults=mine) as ctx:
+            assert ctx.faults is mine
 
     def test_install_rejects_other_types(self):
-        with pytest.raises(ConfigError, match="FaultPlan or FaultInjector"):
-            faults.install({"schema": "repro.faults/v1"})
+        with pytest.raises(TypeError, match="injector"):
+            with context.bound(injector=FaultInjector(FaultPlan.random(2))):
+                pass
+        assert context.current() is context.EMPTY
 
     def test_installed_restores_previous(self):
-        outer = faults.install(FaultPlan.random(3))
-        try:
-            with faults.installed(FaultPlan.random(4)) as inner:
-                assert faults.injector() is inner
-                assert inner is not outer
-            assert faults.injector() is outer
-        finally:
-            faults.uninstall()
+        outer = FaultInjector(FaultPlan.random(3))
+        with context.bound(faults=outer):
+            inner = FaultInjector(FaultPlan.random(4))
+            with context.bound(faults=inner):
+                assert context.current().faults is inner
+            assert context.current().faults is outer
+        assert context.current().faults is None
 
     def test_installed_restores_on_error(self):
         with pytest.raises(RuntimeError):
-            with faults.installed(FaultPlan.random(5)):
+            with context.bound(faults=FaultInjector(FaultPlan.random(5))):
                 raise RuntimeError("boom")
-        assert faults.injector() is None
+        assert context.current().faults is None
 
 
 class TestMetrics:
     def test_fault_counters_exported(self):
-        registry = obs.enable_metrics()
-        try:
+        with context.bound(metrics=MetricsRegistry()) as ctx:
+            registry = ctx.metrics
             injector = FaultInjector(plan_of(
                 FaultSpec(site="chip.program", fault="fail", when=1),
                 FaultSpec(site="ftl.write", fault="crash", when=1)))
@@ -205,5 +204,3 @@ class TestMetrics:
                          (("site", "ftl.write"),))] == 1
             assert flat[("repro_faults_degraded_total",
                          (("action", "retire_program_fail"),))] == 1
-        finally:
-            obs.disable()

@@ -13,11 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import context
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.rber import PowerLawRBER
 from repro.io import DeviceQueue, IORequest
 from repro.io.vector import IOVector
+from repro.obs.endurance import EnduranceLedger
 from repro.ssd.ftl import FTLConfig, PageMappedFTL
 
 from tests.io.conftest import FLAVOURS
@@ -159,12 +161,10 @@ class TestExecuteVectorEquivalence:
     def test_endurance_causes_identical(self, flavour, make_device):
         """The wear ledger attributes every program/erase to the same
         cause under both submission surfaces."""
-        from repro.obs import endurance
-
         ops = mixed_ops(48, 600, seed=5)
 
         def causes(batched: bool):
-            with endurance.installed(pec_limit=3000.0):
+            with context.bound(endurance=EnduranceLedger(pec_limit=3000.0)):
                 device = make_device(flavour, seed=17)
                 for lba in range(48):
                     device.write(lba, bytes(8))
@@ -180,7 +180,7 @@ class TestExecuteVectorEquivalence:
         assert causes(batched=False) == causes(batched=True)
 
     def test_per_member_trace_records_match(self, make_baseline):
-        """With a reqtrace sampler installed, every sampled member of a
+        """With a reqtrace sampler bound, every sampled member of a
         vector gets its own trace record, identical to the record the
         scalar loop emits for the same request."""
         from repro.obs import reqtrace
@@ -188,8 +188,8 @@ class TestExecuteVectorEquivalence:
         ops = mixed_ops(16, 200, seed=9)
 
         def run(batched: bool):
-            with reqtrace.installed(reqtrace.ReqTracer(seed=3, every=8)) \
-                    as tracer:
+            tracer = reqtrace.ReqTracer(seed=3, every=8)
+            with context.bound(reqtrace=tracer):
                 device = make_baseline(seed=3, variation_sigma=0.0,
                                        inject_errors=False)
                 for lba in range(16):

@@ -6,8 +6,10 @@ off, so every flash read costs the same deterministic service time.
 
 import pytest
 
+from repro import context
 from repro.errors import ConfigError, InvalidLBAError
 from repro.io import DeviceQueue, IORequest
+from repro.obs import MetricsRegistry
 
 
 @pytest.fixture
@@ -160,14 +162,11 @@ class TestErrors:
         # when submit/execute re-raise a device error: submit leaves
         # the errored completion in flight (poll sees it), execute
         # consumes it — the gauge follows both.
-        from repro import obs
-
-        obs.enable_metrics()
-        try:
+        with context.bound(metrics=MetricsRegistry()) as ctx:
             queue = DeviceQueue(device)
 
             def gauge():
-                doc = obs.metrics().to_dict()
+                doc = ctx.metrics.to_dict()
                 families = {m["name"]: m for m in doc["metrics"]}
                 (sample,) = families["repro_io_inflight"]["samples"]
                 return sample["value"]
@@ -183,8 +182,6 @@ class TestErrors:
                 queue.execute(read_request(10 ** 9))
             assert queue.inflight == 0
             assert gauge() == 0.0
-        finally:
-            obs.disable()
 
 
 class TestDeadlines:
@@ -245,10 +242,7 @@ class TestDeadlines:
         assert queue.stats.deadline_misses == 2
 
     def test_miss_counted_and_ratio_published(self, device):
-        from repro import obs
-
-        obs.enable_metrics()
-        try:
+        with context.bound(metrics=MetricsRegistry()) as ctx:
             queue = DeviceQueue(device)
             # Generous deadline met, then an already-expired one missed.
             ok = queue.execute(read_request(0), at_us=0.0)
@@ -257,7 +251,7 @@ class TestDeadlines:
             missed = queue.execute(late, at_us=100.0)
             assert missed.deadline_missed
             assert queue.stats.deadline_misses == 1
-            doc = obs.metrics().to_dict()
+            doc = ctx.metrics.to_dict()
             families = {m["name"]: m for m in doc["metrics"]}
             sample = families["repro_io_deadline_miss_ratio"]["samples"][0]
             assert sample["value"] == pytest.approx(0.5)
@@ -271,7 +265,7 @@ class TestDeadlines:
                                        deadline_us=0.0), at_us=100.0)
                 on_time.execute(IORequest(op="read", lba=lba,
                                           deadline_us=1e12))
-            doc = obs.metrics().to_dict()
+            doc = ctx.metrics.to_dict()
             values = {
                 (m["name"], tuple(sorted(s["labels"].items()))): s["value"]
                 for m in doc["metrics"] for s in m.get("samples", ())
@@ -283,15 +277,13 @@ class TestDeadlines:
                        and ("device_kind", "ftl") in labels) == 16
             assert values[("repro_io_deadline_miss_ratio", kind)] \
                 == pytest.approx(0.5)
-        finally:
-            obs.disable()
 
 
 class TestTraceHandoff:
     def test_merge_adopts_absorbed_requests_context(self, device):
         from repro.obs import reqtrace
 
-        with reqtrace.installed(reqtrace.ReqTracer(seed=1, every=1)):
+        with context.bound(reqtrace=reqtrace.ReqTracer(seed=1, every=1)):
             queue = DeviceQueue(device, coalesce=True)
         ctx_a = object.__new__(reqtrace.ReqContext)
         first = IORequest(op="write", lba=16, payloads=[b"a" * 8])
@@ -309,8 +301,8 @@ class TestTraceHandoff:
     def test_sampled_request_produces_record(self, device):
         from repro.obs import reqtrace
 
-        with reqtrace.installed(reqtrace.ReqTracer(seed=1, every=1)) \
-                as tracer:
+        tracer = reqtrace.ReqTracer(seed=1, every=1)
+        with context.bound(reqtrace=tracer):
             queue = DeviceQueue(device)
             queue.execute(read_request(0))
             queue.execute(read_request(1), at_us=0.0)

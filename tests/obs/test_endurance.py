@@ -1,7 +1,7 @@
 """Wear provenance acceptance: the ledger is *exact*, not approximate.
 
 The contract under test (docs/OBSERVABILITY.md): with a ledger
-installed before device construction, the per-cause program/erase
+bound before device construction, the per-cause program/erase
 counters sum to the chip's own counters on every device flavour —
 including under injected program/erase faults — the per-block ledger
 view equals ``pec_array()``, the measured WAF obeys
@@ -17,7 +17,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import faults
+from repro import context
 from repro.errors import (
     ConfigError,
     DeviceBrickedError,
@@ -25,8 +25,7 @@ from repro.errors import (
     MinidiskError,
     OutOfSpaceError,
 )
-from repro.faults import FaultPlan, FaultSpec
-from repro.obs import endurance
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.obs.endurance import (
     CAUSES,
     ENDURANCE_SCHEMA,
@@ -117,7 +116,8 @@ def assert_ledger_matches_chip(device) -> None:
 class TestLedgerMatchesChip:
     @pytest.mark.parametrize("flavour", FLAVOURS)
     def test_cause_sums_equal_chip_counters(self, make_flavour, flavour):
-        with endurance.installed(pec_limit=12.0) as led:
+        led = EnduranceLedger(pec_limit=12.0)
+        with context.bound(endurance=led):
             device = make_flavour(flavour)
             churn(device)
         handle = device.chip._endurance
@@ -137,8 +137,8 @@ class TestLedgerMatchesChip:
             FaultSpec(site="chip.program", fault="fail", when=90),
             FaultSpec(site="chip.erase", fault="fail", when=3),
         ))
-        with faults.installed(plan) as injector, \
-                endurance.installed() as led:
+        injector, led = FaultInjector(plan), EnduranceLedger()
+        with context.bound(faults=injector, endurance=led):
             device = make_flavour(flavour, inject_errors=False)
             churn(device)
             fired = injector.summary()["fired"]
@@ -149,7 +149,7 @@ class TestLedgerMatchesChip:
     @pytest.mark.parametrize("flavour", ("ftl", "baseline", "cvss"))
     def test_salamander_causes_zero_on_other_flavours(self, make_flavour,
                                                       flavour):
-        with endurance.installed():
+        with context.bound(endurance=EnduranceLedger()):
             device = make_flavour(flavour)
             churn(device)
         handle = device.chip._endurance
@@ -165,7 +165,7 @@ class TestWAFDecomposition:
         config = FTLConfig(overprovision=0.25, buffer_opages=8,
                            gc_reserve_blocks=2, scrub_interval_writes=40,
                            scrub_batch_fpages=16)
-        with endurance.installed():
+        with context.bound(endurance=EnduranceLedger()):
             device = PageMappedFTL.for_chip(make_chip(seed=5), config)
             churn(device, passes=8)
         handle = device.chip._endurance
@@ -240,11 +240,12 @@ class TestCauseStack:
 
 
 class TestSingleton:
+    """The ledger is the run context's ``endurance`` field."""
+
     def test_disabled_by_default(self, make_flavour):
-        assert endurance.ledger() is None
-        assert not endurance.enabled()
-        # Zero-cost contract: with nothing installed, devices bind None
-        # at construction and the hot path is one attribute test.
+        assert context.current().endurance is None
+        # Zero-cost contract: with nothing bound, devices bind None at
+        # construction and the hot path is one attribute test.
         device = make_flavour("ftl")
         assert device.chip._endurance is None
         assert device._endurance is None
@@ -253,23 +254,21 @@ class TestSingleton:
 
     def test_installed_scope_restores_previous(self):
         outer = EnduranceLedger()
-        with endurance.installed(outer):
-            assert endurance.ledger() is outer
-            with endurance.installed() as inner:
-                assert endurance.ledger() is inner
+        with context.bound(endurance=outer):
+            assert context.current().endurance is outer
+            inner = EnduranceLedger()
+            with context.bound(endurance=inner):
+                assert context.current().endurance is inner
                 assert inner is not outer
-            assert endurance.ledger() is outer
-        assert endurance.ledger() is None
+            assert context.current().endurance is outer
+        assert context.current().endurance is None
 
     def test_install_uninstall(self):
-        led = endurance.install(pec_limit=9.0)
-        try:
-            assert endurance.enabled()
-            assert endurance.ledger() is led
+        led = EnduranceLedger(pec_limit=9.0)
+        with context.bound(endurance=led) as ctx:
+            assert ctx.endurance is led
             assert led.pec_limit == 9.0
-        finally:
-            endurance.uninstall()
-        assert not endurance.enabled()
+        assert context.current().endurance is None
 
 
 class TestForecasting:
@@ -374,7 +373,8 @@ class TestForecasting:
         # exact recomputation.
         from repro.models.lifetime import tiredness_tradeoff
 
-        with endurance.installed(pec_limit=12.0) as led:
+        led = EnduranceLedger(pec_limit=12.0)
+        with context.bound(endurance=led):
             device = make_flavour("ftl")
             churn(device, passes=8)
         (record,) = led.device_records()
@@ -391,7 +391,8 @@ class TestForecasting:
 
 class TestArtifacts:
     def _churned_ledger(self, make_flavour):
-        with endurance.installed(pec_limit=12.0) as led:
+        led = EnduranceLedger(pec_limit=12.0)
+        with context.bound(endurance=led):
             device = make_flavour("ftl")
             churn(device, passes=4)
         return led
@@ -521,14 +522,14 @@ class TestJobsInvariance:
         assert [record["name"] for record in merged] == \
             ["baseline/wear0", "shrink/wear0"]
         validate_endurance_records(merged)
-        # The probes' scope-installed ledgers must not leak.
-        assert not endurance.enabled()
+        # The probes' scope-bound ledgers must not leak.
+        assert context.current().endurance is None
 
 
 class TestWearLeveling:
     def test_level_wear_charged_to_wear_level_cause(self, make_chip,
                                                     ftl_config):
-        with endurance.installed():
+        with context.bound(endurance=EnduranceLedger()):
             device = PageMappedFTL.for_chip(make_chip(seed=9), ftl_config)
             churn(device, passes=4)
             # Free up logical space so the leveler's relocation target
@@ -562,7 +563,7 @@ class TestClusterWear:
                                                  make_salamander):
         from repro.difs.cluster import Cluster, ClusterConfig
 
-        with endurance.installed():
+        with context.bound(endurance=EnduranceLedger()):
             cluster = Cluster(ClusterConfig(replication=2, chunk_lbas=4),
                               seed=11)
             cluster.add_node("n0")

@@ -1,24 +1,27 @@
 """One instrumented path per layer: FTL/GC, salamander, diFS, fleet.
 
 Instruments are bound at construction time, so every test constructs
-its subject *inside* an ``obs.enabled()`` scope; the no-op test checks
-the opposite — that a run outside the scope leaves nothing behind and
-produces bit-identical results.
+its subject *inside* a ``context.bound(metrics=..., tracer=...)``
+scope; the no-op test checks the opposite — that a run outside the
+scope leaves nothing behind and produces bit-identical results.
 """
 
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import context
 from repro.difs.cluster import Cluster, ClusterConfig
 from repro.flash.geometry import FlashGeometry
+from repro.obs import MetricsRegistry, SimTimeTracer
+from repro.obs.instruments import NULL_CHILD
 from repro.sim.fleet import FleetConfig, simulate_fleet
 from repro.workloads.generators import stamp_payload
 
 
 @pytest.fixture
 def scoped_obs():
-    with obs.enabled() as (registry, tracer):
+    registry, tracer = MetricsRegistry(), SimTimeTracer()
+    with context.bound(metrics=registry, tracer=tracer):
         yield registry, tracer
 
 
@@ -174,11 +177,11 @@ class TestFleetLayer:
 
 class TestDisabledPath:
     def test_disabled_run_registers_nothing(self, make_baseline):
-        assert not obs.metrics_enabled()
+        assert context.current().metrics is None
         ssd = make_baseline()
         ssd.write(0, stamp_payload(0, ssd.geometry.opage_bytes))
-        assert len(obs.metrics()) == 0
-        assert obs.metrics().to_dict()["metrics"] == []
+        assert ssd._instr.host_writes is NULL_CHILD
+        assert context.current().metrics is None
 
     def test_instrumentation_does_not_perturb_results(self):
         config = FleetConfig(
@@ -186,7 +189,8 @@ class TestDisabledPath:
             geometry=FlashGeometry(blocks=64, fpages_per_block=32),
             dwpd=2.0, afr=0.02, horizon_days=200, step_days=20)
         plain = simulate_fleet(config, "shrink", seed=5)
-        with obs.enabled():
+        with context.bound(metrics=MetricsRegistry(),
+                           tracer=SimTimeTracer()):
             observed = simulate_fleet(config, "shrink", seed=5)
         np.testing.assert_array_equal(plain.functioning,
                                       observed.functioning)

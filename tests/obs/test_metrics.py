@@ -5,14 +5,16 @@ import math
 
 import pytest
 
-from repro import obs
+from repro import context
 from repro.errors import ConfigError
 from repro.obs import (
     MetricsRegistry,
+    SimTimeTracer,
     parse_prometheus_text,
     render_prometheus,
     validate_metrics_document,
 )
+from repro.obs.instruments import NULL_CHILD, ftl_instruments
 
 
 class TestRegistration:
@@ -191,26 +193,34 @@ class TestExport:
 
 
 class TestGlobalSingletons:
+    """The registry is the run context's ``metrics`` field."""
+
     def test_noop_by_default(self):
-        assert not obs.metrics_enabled()
-        # No-op calls must be safe and free of side effects.
-        obs.metrics().counter("whatever_total").inc()
-        assert obs.metrics().to_dict()["metrics"] == []
-        assert obs.metrics().to_prometheus() == ""
+        assert context.current().metrics is None
+        # With no registry bound the factories hand out no-op children:
+        # safe to call and free of side effects.
+        instr = ftl_instruments("dev-noop")
+        instr.host_writes.inc()
+        instr.write_amplification.set(2.0)
+        assert instr.host_writes is NULL_CHILD
+        assert context.current().metrics is None
 
     def test_enable_disable_cycle(self):
-        registry = obs.enable_metrics()
-        try:
-            assert obs.metrics() is registry
-            assert obs.metrics_enabled()
-        finally:
-            obs.disable()
-        assert not obs.metrics_enabled()
+        registry = MetricsRegistry()
+        with context.bound(metrics=registry):
+            assert context.current().metrics is registry
+            ftl_instruments("dev-bound").host_writes.inc()
+        assert context.current().metrics is None
+        assert registry.get("repro_ftl_host_writes_total") is not None
 
     def test_scoped_enable_restores_previous(self):
-        assert not obs.metrics_enabled()
-        with obs.enabled() as (registry, tracer):
-            assert obs.metrics() is registry
-            assert obs.tracer() is tracer
-        assert not obs.metrics_enabled()
-        assert not obs.tracing_enabled()
+        assert context.current().metrics is None
+        registry, tracer = MetricsRegistry(), SimTimeTracer()
+        with context.bound(metrics=registry, tracer=tracer):
+            assert context.current().metrics is registry
+            with context.bound(tracer=None):
+                assert context.current().metrics is registry
+                assert context.current().tracer is None
+            assert context.current().tracer is tracer
+        assert context.current().metrics is None
+        assert context.current().tracer is None

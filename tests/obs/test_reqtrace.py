@@ -3,7 +3,7 @@
 The attribution pipeline has three contracts worth pinning hard:
 
 * **Zero cost off** — every instrumented layer binds the tracer at
-  construction; with none installed the binding is ``None`` and hot
+  construction; with none bound the binding is ``None`` and hot
   paths reduce to one identity test (the :mod:`repro.faults` pattern,
   same discipline ``tests/faults/test_zero_cost.py`` pins).
 * **Exact decomposition** — every record satisfies
@@ -19,6 +19,7 @@ import json
 
 import pytest
 
+from repro import context
 from repro.errors import ConfigError
 from repro.io import DeviceQueue, IORequest
 from repro.io.probe import ProbeConfig, run_probe, run_probes
@@ -43,8 +44,7 @@ def probe_result():
 
 class TestDisabledBindings:
     def test_nothing_installed_by_default(self):
-        assert reqtrace.tracer() is None
-        assert not reqtrace.enabled()
+        assert context.current().reqtrace is None
 
     def test_every_layer_binds_none_when_disabled(self, make_baseline,
                                                   make_salamander):
@@ -59,13 +59,13 @@ class TestDisabledBindings:
     def test_binding_happens_at_construction_not_per_call(self,
                                                           make_baseline):
         before = DeviceQueue(make_baseline())
-        with reqtrace.installed(ReqTracer(seed=1)):
+        with context.bound(reqtrace=ReqTracer(seed=1)):
             assert before._reqtrace is None
             during = DeviceQueue(make_baseline())
-            assert during._reqtrace is reqtrace.tracer()
+            assert during._reqtrace is context.current().reqtrace
             bound = during._reqtrace
         assert during._reqtrace is bound
-        assert reqtrace.tracer() is None
+        assert context.current().reqtrace is None
 
     def test_disabled_queue_behaves_identically(self, make_baseline):
         latencies = []

@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro import obs
+from repro import context
 from repro.errors import ConfigError
-from repro.obs import slo
+from repro.io.queue import DeviceQueue
+from repro.obs import MetricsRegistry
 from repro.obs.slo import (
     SLO_REPORT_SCHEMA,
     SLO_SCHEMA,
+    WINDOW_CAPACITY,
     SLOEngine,
     SLOObjective,
-    WINDOW_CAPACITY,
     evaluate_records,
     format_slo_report,
     load_slo_config,
@@ -212,32 +213,33 @@ class TestEvaluation:
 
 
 class TestSingleton:
+    """The engine is the run context's ``slo`` field."""
+
     def test_disabled_by_default(self):
-        assert slo.engine() is None
-        assert not slo.enabled()
+        assert context.current().slo is None
 
     def test_installed_scope_restores(self):
-        with slo.installed([latency_objective()]) as engine:
-            assert slo.engine() is engine
-            assert slo.enabled()
-        assert slo.engine() is None
-
-    def test_install_accepts_engine_or_objectives(self):
         engine = SLOEngine([latency_objective()])
-        try:
-            assert slo.install(engine) is engine
-            assert slo.install([latency_objective()]) is not engine
-        finally:
-            slo.uninstall()
+        with context.bound(slo=engine):
+            assert context.current().slo is engine
+        assert context.current().slo is None
+
+    def test_install_accepts_engine_or_objectives(self, make_baseline):
+        # A queue binds the engine in scope at its construction.
+        engine = SLOEngine([latency_objective()])
+        with context.bound(slo=engine):
+            bound = DeviceQueue(make_baseline())
+        unbound = DeviceQueue(make_baseline())
+        assert bound._slo is engine
+        assert unbound._slo is None
 
 
 class TestMetricsBridge:
     def test_gauges_published_when_metrics_enabled(self):
-        obs.enable_metrics()
-        try:
+        with context.bound(metrics=MetricsRegistry()) as ctx:
             engine = SLOEngine([latency_objective(threshold_us=1.0)])
             observe_n(engine, [50.0] * 4)
-            doc = obs.metrics().to_dict()
+            doc = ctx.metrics.to_dict()
             families = {m["name"]: m for m in doc["metrics"]}
             for name in ("repro_slo_observations_total",
                          "repro_slo_budget_burn_total",
@@ -250,5 +252,3 @@ class TestMetricsBridge:
             assert breaching[0]["value"] == 1.0
             observations = families["repro_slo_observations_total"]
             assert observations["samples"][0]["value"] == 4.0
-        finally:
-            obs.disable()

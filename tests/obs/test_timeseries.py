@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from repro import obs
+from repro import context
 from repro.errors import ConfigError
+from repro.obs import MetricsRegistry, SimTimeTracer
 from repro.obs.timeseries import (
     TIMESERIES_SCHEMA,
     SeriesBuffer,
@@ -268,39 +269,41 @@ class TestLoadingErrors:
 
 
 class TestSingletonWiring:
+    """The sampler is the run context's ``timeseries`` field."""
+
     def test_disabled_by_default(self):
-        assert not obs.timeseries_enabled()
-        # The null sampler accepts the full API.
-        null = obs.timeseries()
-        null.record("x", 0.0, 1.0)
-        assert not null.maybe_sample(1.0)
-        assert len(null) == 0
+        from repro.sim.engine import Engine
+
+        assert context.current().timeseries is None
+        assert Engine()._ts is None
 
     def test_enable_and_disable(self):
-        sampler = obs.enable_timeseries(cadence=5.0)
-        try:
-            assert obs.timeseries_enabled()
-            assert obs.timeseries() is sampler
+        sampler = TimeseriesSampler(cadence=5.0)
+        with context.bound(timeseries=sampler):
+            assert context.current().timeseries is sampler
             assert sampler.cadence == 5.0
-        finally:
-            obs.disable()
-        assert not obs.timeseries_enabled()
+        assert context.current().timeseries is None
 
     def test_scoped_enable_installs_sampler(self):
-        sampler = TimeseriesSampler()
-        with obs.enabled(timeseries_sampler=sampler) as (registry, _):
-            assert obs.timeseries() is sampler
-            # The scope back-fills the registry so metric snapshots work.
-            assert sampler.registry is registry
-        assert not obs.timeseries_enabled()
+        registry = MetricsRegistry()
+        sampler = TimeseriesSampler(registry=registry)
+        with context.bound(metrics=registry, timeseries=sampler):
+            assert context.current().timeseries is sampler
+            assert sampler.registry is context.current().metrics
+        assert context.current().timeseries is None
+        assert context.current().metrics is None
 
-    def test_null_sampler_exports_empty_documents(self, tmp_path):
-        null = obs.timeseries()
-        path = null.export(tmp_path / "empty.jsonl")
+    @pytest.mark.parametrize("suffix", (".jsonl", ".csv"))
+    def test_empty_sampler_round_trips(self, tmp_path, suffix):
+        empty = TimeseriesSampler()
+        path = empty.export(tmp_path / f"empty{suffix}")
         document = load_timeseries(path)
+        validate_timeseries_document(document)
         assert document["series"] == []
-        csv_path = null.export(tmp_path / "empty.csv")
-        assert csv_path.read_text().startswith("name,labels,")
+        if suffix == ".csv":
+            assert path.read_bytes().startswith(b"name,labels,")
+        else:
+            assert document == empty.to_dict()
 
 
 class TestEngineIntegration:
@@ -308,7 +311,7 @@ class TestEngineIntegration:
         from repro.sim.engine import Engine
 
         sampler = TimeseriesSampler(cadence=0.0)
-        with obs.enabled(timeseries_sampler=sampler):
+        with context.bound(timeseries=sampler):
             engine = Engine()
             state = {"n": 0}
             sampler.add_probe("repro_events", lambda: float(state["n"]))
@@ -329,11 +332,13 @@ class TestFleetIntegration:
         from repro.flash.geometry import FlashGeometry
         from repro.sim.fleet import FleetConfig, simulate_fleet
 
-        sampler = TimeseriesSampler(cadence=50.0)
+        registry = MetricsRegistry()
+        sampler = TimeseriesSampler(cadence=50.0, registry=registry)
         config = FleetConfig(
             devices=6, horizon_days=900, step_days=10,
             geometry=FlashGeometry(blocks=64, fpages_per_block=32))
-        with obs.enabled(timeseries_sampler=sampler):
+        with context.bound(metrics=registry, tracer=SimTimeTracer(),
+                           timeseries=sampler):
             baseline = simulate_fleet(config, "baseline", seed=11)
             shrink = simulate_fleet(config, "shrink", seed=11)
         names = sampler.series_names()
@@ -367,9 +372,11 @@ class TestFleetIntegration:
     def test_document_validates_after_sequential_runs(self):
         from repro.sim.fleet import FleetConfig, simulate_fleet
 
-        sampler = TimeseriesSampler(cadence=25.0)
+        registry = MetricsRegistry()
+        sampler = TimeseriesSampler(cadence=25.0, registry=registry)
         config = FleetConfig(devices=4, horizon_days=400, step_days=10)
-        with obs.enabled(timeseries_sampler=sampler):
+        with context.bound(metrics=registry, tracer=SimTimeTracer(),
+                           timeseries=sampler):
             for mode in ("baseline", "shrink", "regen"):
                 simulate_fleet(config, mode, seed=3)
         validate_timeseries_document(

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro import obs
+from repro import context
+from repro.difs.cluster import Cluster, ClusterConfig
 from repro.errors import ConfigError
 from repro.obs import SimTimeTracer
 from repro.sim.clock import SimClock
@@ -191,19 +192,26 @@ class TestExport:
 
 
 class TestGlobalSingleton:
+    """The tracer is the run context's ``tracer`` field."""
+
     def test_noop_by_default(self):
-        assert not obs.tracing_enabled()
-        with obs.tracer().span("ignored"):
-            obs.tracer().event("ignored")
-        assert obs.tracer().records() == []
+        assert context.current().tracer is None
+        # Layers bind None and their spans become null scopes.
+        recovery = Cluster(ClusterConfig(replication=2, chunk_lbas=4),
+                           seed=1).recovery
+        assert recovery._tracer is None
+        with recovery._span("ignored"):
+            pass
 
     def test_enable_disable_cycle(self):
-        tracer = obs.enable_tracing()
-        try:
-            assert obs.tracer() is tracer
-            with tracer.span("kept"):
+        tracer = SimTimeTracer()
+        with context.bound(tracer=tracer):
+            assert context.current().tracer is tracer
+            recovery = Cluster(ClusterConfig(replication=2, chunk_lbas=4),
+                               seed=1).recovery
+            with recovery._span("kept"):
                 pass
             assert len(tracer.records()) == 1
-        finally:
-            obs.disable()
-        assert not obs.tracing_enabled()
+        assert context.current().tracer is None
+        assert recovery._tracer is tracer
+

@@ -9,12 +9,18 @@ validation) is a supporting lemma of that contract.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 
 import pytest
 
+from repro import context
 from repro.errors import ConfigError
+from repro.faults import FaultInjector, FaultPlan
 from repro.flash.geometry import FlashGeometry
+from repro.obs.endurance import EnduranceLedger
+from repro.obs.reqtrace import ReqTracer
+from repro.obs.slo import SLOEngine, SLOObjective
 from repro.sim import parallel
 from repro.sim.fleet import MODES, FleetConfig
 from repro.sim.parallel import (
@@ -46,6 +52,11 @@ TINY_CONFIG = FleetConfig(
 
 def _square(x: int) -> int:
     return x * x
+
+
+def _worker_sidecars(_task: int) -> tuple[int, dict]:
+    """The worker's pid and every run-context field it sees."""
+    return os.getpid(), dict(vars(context.current()))
 
 
 class TestSeedDerivation:
@@ -95,6 +106,25 @@ class TestParallelMap:
             resolve_jobs("fast")
         with pytest.raises(ConfigError):
             resolve_jobs(True)
+
+    def test_workers_start_from_the_empty_context(self):
+        # A forked worker must not inherit the parent's sidecars: a
+        # fleet task with faults=None would otherwise fall back to a
+        # copy of the parent's injector, and jobs=1 vs jobs=2 diverge.
+        sidecars = {
+            "faults": FaultInjector(FaultPlan.random(1)),
+            "reqtrace": ReqTracer(seed=1),
+            "endurance": EnduranceLedger(),
+            "slo": SLOEngine([SLOObjective(name="p99", kind="latency",
+                                           threshold_us=1000.0)]),
+        }
+        with context.bound(**sidecars):
+            results = parallel_map(_worker_sidecars, [0, 1, 2, 3], jobs=2)
+            # The parent's own context is untouched.
+            assert context.current().faults is sidecars["faults"]
+        assert all(pid != os.getpid() for pid, _ in results)
+        for _, fields in results:
+            assert fields == dict.fromkeys(fields), fields
 
     def test_fork_unavailable_falls_back_serially(self, monkeypatch):
         # Platforms without the fork start method degrade to the serial

@@ -27,10 +27,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro import faults, obs
+from repro import context
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.flash.geometry import FlashGeometry
+from repro.obs import MetricsRegistry, SimTimeTracer, TimeseriesSampler
 from repro.sim.fleet import (
     MODES,
     FleetConfig,
@@ -38,11 +39,7 @@ from repro.sim.fleet import (
     merge_ranges,
     simulate_fleet,
 )
-from repro.sim.shard import (
-    ShardTask,
-    partition_devices,
-    run_shard_task,
-)
+from repro.sim.shard import ShardTask, partition_devices, run_shard_task
 
 TINY_CONFIG = FleetConfig(
     devices=13,
@@ -283,12 +280,9 @@ class TestFaultFallback:
             FaultSpec(site="fleet.step", fault="device_loss", when=3,
                       args={"devices": 1}),
         ))
-        faults.install(plan)
-        try:
+        with context.bound(faults=FaultInjector(plan)):
             with pytest.warns(RuntimeWarning, match="fault plan"):
                 sharded = simulate_fleet(_sharded(2), "shrink", seed=77)
-        finally:
-            faults.uninstall()
         serial = simulate_fleet(TINY_CONFIG, "shrink", seed=77,
                                 faults=plan)
         _assert_bit_identical(serial, sharded)
@@ -296,16 +290,13 @@ class TestFaultFallback:
 
 class TestTelemetryEquivalence:
     def _run(self, shards, jobs=1):
-        obs.disable()
-        obs.enable_metrics()
-        tracer = obs.enable_tracing()
-        sampler = obs.enable_timeseries(cadence=30.0)
-        try:
+        registry, tracer = MetricsRegistry(), SimTimeTracer()
+        sampler = TimeseriesSampler(registry=registry, cadence=30.0)
+        with context.bound(metrics=registry, tracer=tracer,
+                           timeseries=sampler):
             simulate_fleet(_sharded(shards), "regen", seed=77, jobs=jobs)
-            document = sampler.to_dict()
-            records = [r.to_json() for r in tracer.records()]
-        finally:
-            obs.disable()
+        document = sampler.to_dict()
+        records = [r.to_json() for r in tracer.records()]
         return document, records
 
     @staticmethod
@@ -341,14 +332,11 @@ class TestTelemetryEquivalence:
         assert trace_one == trace_two
 
     def test_shard_metrics_exported(self):
-        obs.disable()
-        registry = obs.enable_metrics()
-        try:
+        registry = MetricsRegistry()
+        with context.bound(metrics=registry):
             simulate_fleet(_sharded(3), "shrink", seed=77, jobs=1)
             names = {family["name"]
                      for family in registry.to_dict()["metrics"]}
-        finally:
-            obs.disable()
         assert "repro_shard_tick_seconds" in names
         assert "repro_shard_merge_seconds" in names
         assert "repro_shard_devices" in names

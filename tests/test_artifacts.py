@@ -43,7 +43,9 @@ from repro.obs.reqtrace import (
 from repro.obs.slo import load_slo_config
 from repro.obs.timeseries import TimeseriesSampler, load_timeseries
 from repro.obs.trace import SimTimeTracer
+from repro.reporting.claims import build_report
 from repro.reporting.export import ExperimentWriter, load_experiment
+from repro.reporting.series import Series
 from repro.scenarios import load_scenario
 from repro.sim.parallel import load_sweep_artifact, write_sweep_artifact
 from repro.workloads.engine import (
@@ -227,8 +229,18 @@ def _write_valid(name: str, path: Path) -> None:
                          "capacity_bytes": [4.0, 2.0],
                          "mean_lifetime_days": 10.0}]}, path)
     elif name == "experiment":
+        # Every part `repro report` reads: the summary table, capacity
+        # series and an embedded timeseries document.
         writer = ExperimentWriter("exp", meta={"seed": 1})
-        writer.add_table("t", ["a", "b"], [[1, 2.0]])
+        writer.add_table("summary", ["mode", "mean_lifetime_days"],
+                         [["baseline", 100.0], ["shrink", 120.0]])
+        for mode in ("baseline", "shrink"):
+            writer.add_series(Series(f"{mode}/capacity", [0.0, 1.0],
+                                     [4.0, 2.0]))
+        sampler = TimeseriesSampler()
+        sampler.record("repro_fleet_mean_lifetime_days", 1.0, 100.0,
+                       labels={"mode": "baseline"})
+        writer.attach_timeseries(sampler)
         path.write_bytes(writer.write(path.parent / "exp").read_bytes())
     elif name == "scenario":
         path.write_bytes((REPO / "scenarios/faulty_fleet.json").read_bytes())
@@ -258,7 +270,9 @@ LOADERS = {
     "slo": (".json", "json", load_slo_config),
     "engine": (".json", "json", load_engine_artifact),
     "sweep": (".json", "json", load_sweep_artifact),
-    "experiment": (".json", "json", load_experiment),
+    "experiment": (".json", "json", lambda p: build_report(
+        artifact_doc=load_experiment(p), throughput_levels=(),
+        traffic_levels=())),
     "scenario": (".json", "json", load_scenario),
     "fault_plan": (".json", "json", FaultPlan.load),
     "trace_text": (".trace", "text", Trace.load),

@@ -5,11 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from repro import obs
+from repro import context
 from repro.cli import (
     EXIT_CLAIM_FAILED,
     EXIT_CONFIG_ERROR,
     EXIT_UNEXPECTED_ERROR,
+    _sidecars,
     build_parser,
     main,
 )
@@ -169,7 +170,7 @@ class TestObservabilityFlags:
                      "--mode", "regen", "--points", "5",
                      "--metrics-out", str(metrics_path),
                      "--trace-out", str(trace_path)]) == 0
-        assert not obs.metrics_enabled()  # CLI restores the no-op state
+        assert context.current() is context.EMPTY  # CLI unbinds on exit
         document = json.loads(metrics_path.read_text())
         validate_metrics_document(document)
         names = {family["name"] for family in document["metrics"]}
@@ -198,12 +199,11 @@ class TestObservabilityFlags:
         validate_metrics_document(json.loads(metrics_path.read_text()))
 
     def test_flags_off_means_no_observability_cost(self, capsys, tmp_path):
-        assert main(["fleet", "--devices", "4", "--blocks", "32",
-                     "--years", "1", "--step-days", "20",
-                     "--points", "3"]) == 0
-        assert not obs.metrics_enabled()
-        assert not obs.tracing_enabled()
-        assert not obs.timeseries_enabled()
+        argv = ["fleet", "--devices", "4", "--blocks", "32",
+                "--years", "1", "--step-days", "20", "--points", "3"]
+        assert _sidecars(build_parser().parse_args(argv)) == {}
+        assert main(argv) == 0
+        assert context.current() is context.EMPTY
 
 
 class TestTimeseriesFlag:
@@ -213,7 +213,7 @@ class TestTimeseriesFlag:
                      "--years", "2", "--step-days", "20",
                      "--mode", "all", "--points", "3",
                      "--timeseries-out", str(ts_path)]) == 0
-        assert not obs.timeseries_enabled()  # CLI restores no-op state
+        assert context.current() is context.EMPTY  # CLI unbinds on exit
         from repro.obs import load_timeseries
         document = load_timeseries(ts_path)  # validates on load
         names = {entry["name"] for entry in document["series"]}
@@ -334,6 +334,16 @@ class TestReportCommand:
         assert main(["report", "--artifact", str(scalar)]) \
             == EXIT_CONFIG_ERROR
         assert "not a JSON object" in capsys.readouterr().err
+        # So is one whose keys are present but wrongly typed.
+        base = {"experiment": "e", "meta": {}, "tables": {}, "series": {}}
+        for override in ({"tables": 5}, {"series": 5}, {"timeseries": 5}):
+            wrong = tmp_path / "wrong.json"
+            wrong.write_text(json.dumps({**base, **override}))
+            assert main(["report", "--artifact", str(wrong)]) \
+                == EXIT_CONFIG_ERROR, override
+            err = capsys.readouterr().err
+            assert "configuration error" in err, override
+            assert "Traceback" not in err
 
     def test_bad_tolerance_exits_2(self, capsys, tmp_path):
         assert main(["report", "--tolerance", "1.5"]) \
